@@ -58,13 +58,16 @@ def _fmt(value: float) -> str:
 
 def _print_analytical_summary(report) -> None:
     p = report.params
-    kind = "strong" if report.mpr_strong else "weak"
     print(
         f"scenario: q1={p.q1:g} q2={p.q2:g} lambda={p.arrival_prob:g} d={p.deadline} "
         f"gamma1={linear_to_db(p.link1.sinr_threshold):.4g} dB "
         f"gamma2={linear_to_db(p.link2.sinr_threshold):.4g} dB"
     )
-    print(f"delta: {report.delta:.4f} ({kind} MPR)")
+    if report.delta is None:
+        print("delta: undefined (a solo success probability is 0)")
+    else:
+        kind = "strong" if report.mpr_strong else "weak"
+        print(f"delta: {report.delta:.4f} ({kind} MPR)")
     print(
         f"success probs: p11={report.sp.p_1_solo:.6f} p112={report.sp.p_1_joint:.6f} "
         f"p22={report.sp.p_2_solo:.6f} p221={report.sp.p_2_joint:.6f}"
@@ -180,10 +183,7 @@ def cmd_validate(args) -> int:
     print(f"overall: {'PASS' if passed else 'FAIL'}")
     base = _out_base(args.out, "validate")
     json_path = base.with_suffix(".json")
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = json_path.with_name(json_path.name + ".tmp")
-    tmp.write_text(json.dumps(verdict, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, json_path)
+    results._atomic_write(json_path, lambda fh: fh.write(json.dumps(verdict, indent=2) + "\n"))
     print(f"wrote {json_path}")
     return EXIT_OK if passed else EXIT_FAILURE
 

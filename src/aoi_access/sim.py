@@ -1,4 +1,4 @@
-"""Seeded slot-level Monte Carlo simulator of the two-user system.
+"""Seeded packet-level Monte Carlo simulator of the two-user system.
 
 Coupled mode plays out the ground-truth packet dynamics: user 2's update
 outcome depends on whether user 1 actually transmitted in the same slot.
@@ -8,14 +8,21 @@ per-slot probability, which is exactly the independence assumption the
 analytical age results rest on.
 
 Each replication is an independent deterministic run seeded with
-seed + replication index; the per-slot random draws are materialized up
-front so the slot loop itself is branch-only.
+seed + replication index. It draws the same seven per-slot Bernoulli
+streams as a slot-by-slot loop would (tests/slot_oracle.py keeps that
+loop as the reference) and returns identical tallies, but computes them
+with array operations. User 1's success in a slot does not depend on its
+queue, so FIFO order gives each packet's departure slot from the wait
+for user 1's next success. The departures are solved time-parallel over
+chunks of packets (Greenberg, Lubachevsky & Mitrani, "Algorithms for
+unboundedly parallel simulations", ACM TOCS 1991). The per-slot
+head-of-line state, user 2's successes and the age follow from the
+packets' slots, block by block.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,11 @@ from .system import DEFAULT_VIOLATION_THRESHOLDS, SystemParams
 MODES = ("coupled", "decoupled")
 
 DEFAULT_MIN_VISITS = 10_000
+
+# packets per chunk of the time-parallel departure solve, and slots per
+# block of the random draws and of the per-slot tallies
+_CHUNK = 128
+_BLOCK = 1 << 14
 
 # 95% two-sided normal quantile for across-replication confidence intervals
 _Z95 = 1.959963984540054
@@ -117,91 +129,218 @@ def _pipeline(cfg: SimConfig) -> _Pipeline:
     return _Pipeline(sp=sp, mu1=mu1, metrics=metrics, mu2=mu2)
 
 
-def _replicate(cfg: SimConfig, pipe: _Pipeline, rep: int) -> dict:
-    """One seeded replication; returns raw post-warmup tallies."""
+def _pieces(rng: np.random.Generator, slots: int, prob: float):
+    """Bernoulli(prob) draws for every slot, _BLOCK slots at a time.
+
+    PCG64 yields the same doubles in pieces as in one rng.random(slots)
+    call, so the pieces joined equal rng.random(slots) < prob.
+    """
+    buf = np.empty(min(_BLOCK, slots))
+    for t0 in range(0, slots, _BLOCK):
+        u = rng.random(out=buf[: min(_BLOCK, slots - t0)])
+        yield slice(t0, t0 + len(u)), u < prob
+
+
+def _stream(rng: np.random.Generator, slots: int, prob: float) -> np.ndarray:
+    out = np.empty(slots, dtype=bool)
+    for s, hit in _pieces(rng, slots, prob):
+        out[s] = hit
+    return out
+
+
+def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
+    """Departure slot of every packet, from the arrival slots a (n >= 1).
+
+    FIFO gives e_i = min(x + wait[x], a_i + d) with x = max(a_i, e_{i-1}) + 1,
+    where wait is _wait_table's. A chunk of packets depends on the packets
+    before it only through its start, max(e_{i-1}, a_i) - a_i for its first
+    packet, which lies in 0..d-1. All chunks are advanced at once from
+    starts 0 and d-1. A chunk's last departure is nondecreasing in the
+    start, so where those two end alike every start does; the other chunks
+    are advanced from every start. The chunk ends are then stitched
+    together in order, and each chunk is replayed from its true start.
+    """
+    n = len(a)
+    L = min(_CHUNK, n)
+    m = -(-n // L)
+    # lanes[j, c]: arrival slot of the j-th packet of chunk c; the last
+    # chunk is padded by repeating the last arrival
+    lanes = np.empty((L, m), dtype=a.dtype)
+    lanes.T.flat[:n] = a
+    lanes.T.flat[n:] = a[-1]
+
+    def advance(rows: np.ndarray, cur: np.ndarray, record: np.ndarray | None = None):
+        buf = np.empty_like(cur)
+        for j, arrival in enumerate(rows[:, :, None]):
+            np.maximum(arrival, cur, out=buf)
+            buf += 1
+            np.add(buf, wait.take(buf), out=cur)
+            np.minimum(cur, arrival + d, out=cur)
+            if record is not None:
+                record[:, j] = cur[:, 0]
+        return cur
+
+    first = lanes[0, :, None]
+    low, high = advance(lanes, first + np.array([0, d - 1], dtype=a.dtype)).T
+    split = np.flatnonzero(low != high)
+    starts = first[split] + np.arange(d, dtype=a.dtype)
+    ends = {}
+    if len(split):
+        ends = dict(zip(split.tolist(), advance(lanes[:, split], starts).tolist()))
+    start = []
+    e_prev = -1
+    for c, (a0, end) in enumerate(zip(first[:, 0].tolist(), low.tolist())):
+        start.append(max(e_prev, a0))
+        e_prev = ends[c][start[-1] - a0] if c in ends else end
+    dep = np.empty((m, L), dtype=a.dtype)
+    advance(lanes, np.array(start, dtype=a.dtype)[:, None], dep)
+    return dep.reshape(-1)[:n]
+
+
+def _draw(cfg: SimConfig, pipe: _Pipeline, rep: int, idx) -> tuple[np.ndarray, ...]:
+    """The seven Bernoulli streams of one replication, folded as they are drawn.
+
+    The streams come in the order of the reference slot loop: arrivals,
+    both users' access, user 1's solo and joint decoding, then user 2's
+    solo and joint decoding, or in decoupled mode its one success stream.
+    Returns the arrival slots followed by the slot count as a sentinel,
+    user 1's success in each slot were it busy, and user 2's success in
+    each slot while user 1 is idle and while it is busy.
+    """
     p = cfg.params
     sp = pipe.sp
-    slots, warmup, d = cfg.slots, cfg.warmup_slots, p.deadline
-    decoupled = cfg.mode == "decoupled"
-
+    slots = cfg.slots
     rng = np.random.default_rng(cfg.seed + rep)
-    arrive = (rng.random(slots) < p.arrival_prob).tobytes()
-    att1 = (rng.random(slots) < p.q1).tobytes()
-    att2 = (rng.random(slots) < p.q2).tobytes()
-    win1_solo = (rng.random(slots) < sp.p_1_solo).tobytes()
-    win1_joint = (rng.random(slots) < sp.p_1_joint).tobytes()
-    if decoupled:
-        win2_solo = win2_joint = b""
-        dec = (rng.random(slots) < pipe.mu2).tobytes()
+    arrivals = [
+        (np.flatnonzero(hit) + s.start).astype(idx)
+        for s, hit in _pieces(rng, slots, p.arrival_prob)
+    ]
+    arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
+    att1 = _stream(rng, slots, p.q1)
+    att2 = _stream(rng, slots, p.q2)
+    s1 = _stream(rng, slots, sp.p_1_solo)
+    s1 &= ~att2
+    for s, hit in _pieces(rng, slots, sp.p_1_joint):
+        s1[s] |= hit & att2[s]
+    s1 &= att1
+    if cfg.mode == "decoupled":
+        s2_idle = s2_busy = _stream(rng, slots, pipe.mu2)
     else:
-        win2_solo = (rng.random(slots) < sp.p_2_solo).tobytes()
-        win2_joint = (rng.random(slots) < sp.p_2_joint).tobytes()
-        dec = b""
+        s2_idle = _stream(rng, slots, sp.p_2_solo)
+        s2_idle &= att2
+        s2_busy = s2_idle & ~att1
+        for s, hit in _pieces(rng, slots, sp.p_2_joint):
+            s2_busy[s] |= hit & att1[s] & att2[s]
+    return arrivals, s1, s2_idle, s2_busy
 
-    queue: deque[int] = deque()
-    occ = [0] * (d + 1)
-    trans = [[0] * (d + 1) for _ in range(d + 1)]
-    hist = [0] * 512
-    aoi = 1
+
+def _wait_table(s1: np.ndarray, d: int) -> np.ndarray:
+    """Slots from each slot t to user 1's first success at or after t, capped at d.
+
+    Every slot past the horizon counts as a success.
+    """
+    slots = len(s1)
+    wait = np.zeros(slots + d + 1, dtype=np.min_scalar_type(d))
+    following = slots  # the first success after the block
+    for t0 in reversed(range(0, slots, _BLOCK)):
+        blk = slice(t0, min(t0 + _BLOCK, slots))
+        t = np.arange(blk.start, blk.stop)
+        nxt = np.minimum.accumulate(np.where(s1[blk], t, following)[::-1])[::-1]
+        following = int(nxt[0])
+        wait[blk] = np.minimum(nxt - t, d)
+    return wait
+
+
+def _slot_tallies(
+    a: np.ndarray, e: np.ndarray, s2_idle: np.ndarray, s2_busy: np.ndarray, cfg: SimConfig
+) -> dict:
+    """Per-slot state, occupancy, transitions and age from the packets' slots.
+
+    a holds the arrival slots and the sentinel, e the departure slots. In
+    slot t the queue's head is the first packet not departed before t; the
+    queue is busy if that packet arrived before t. Slots are taken _BLOCK
+    at a time; the last state and user 2's last success carry across
+    blocks.
+    """
+    slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
+    # packets departed before each block
+    cuts = e.searchsorted(np.array([*range(0, slots, _BLOCK), slots], dtype=e.dtype)).tolist()
+
+    occ = np.zeros(d + 1, dtype=np.int64)
+    trans = np.zeros((d + 1) ** 2, dtype=np.int64)
+    hist = np.zeros(0, dtype=np.int64)
+    top = 0  # one past the oldest age seen
     aoi_sum = 0
+    last_s2 = -1  # user 2's last success before the block
     prev_state = -1
-    arrivals = delivered = dropped = 0
-    arrivals_m = delivered_m = dropped_m = 0
+    for t0, lo, hi in zip(range(0, slots, _BLOCK), cuts, cuts[1:]):
+        blk = slice(t0, min(t0 + _BLOCK, slots))
+        t = np.arange(blk.start, blk.stop, dtype=a.dtype)
+        head = np.zeros(len(t) + 1, dtype=a.dtype)
+        head[e[lo:hi] + 1 - t0] = 1
+        head[0] = lo
+        np.cumsum(head, out=head)
+        arrived = a.take(head[:-1])
+        busy = arrived < t
+        state = np.where(busy, t - arrived, 0)
+        last = np.where(np.where(busy, s2_busy[blk], s2_idle[blk]), t, last_s2)
+        np.maximum.accumulate(last, out=last)
+        aoi = t.copy()
+        aoi[0] -= last_s2
+        aoi[1:] -= last[:-1]
+        last_s2 = int(last[-1])
 
-    for t in range(slots):
-        if queue:
-            state = t - queue[0]
-            busy = True
-        else:
-            state = 0
-            busy = False
-        measured = t >= warmup
-        if measured:
-            occ[state] += 1
-            if prev_state >= 0:
-                trans[prev_state][state] += 1
-            prev_state = state
-            if aoi >= len(hist):
-                hist.extend([0] * (aoi + 256 - len(hist)))
-            hist[aoi] += 1
-            aoi_sum += aoi
-
-        tx1 = busy and att1[t]
-        tx2 = att2[t]
-        s1 = (win1_joint[t] if tx2 else win1_solo[t]) if tx1 else 0
-        if decoupled:
-            s2 = dec[t]
-        else:
-            s2 = (win2_joint[t] if tx1 else win2_solo[t]) if tx2 else 0
-
-        # age update, then early departure / drop, then late arrival
-        aoi = 1 if s2 else aoi + 1
-        if busy:
-            if s1:
-                queue.popleft()
-                delivered += 1
-                delivered_m += measured
-            elif state == d:
-                queue.popleft()
-                dropped += 1
-                dropped_m += measured
-        if arrive[t]:
-            queue.append(t)
-            arrivals += 1
-            arrivals_m += measured
-
+        m0 = max(warmup - t0, 0)
+        if m0 >= len(t):
+            continue
+        state, aoi = state[m0:], aoi[m0:]
+        occ += np.bincount(state, minlength=d + 1)
+        if prev_state >= 0:
+            trans[prev_state * (d + 1) + state[0]] += 1
+        pairs = np.bincount(state[:-1] * (d + 1) + state[1:])
+        trans[: len(pairs)] += pairs
+        prev_state = int(state[-1])
+        low = int(aoi.min())
+        ages = np.bincount(aoi - low)
+        top = max(top, low + len(ages))
+        if len(hist) < top:  # doubling keeps an ever-growing age linear in the horizon
+            hist = np.concatenate((hist, np.zeros(max(top, 2 * len(hist)) - len(hist), np.int64)))
+        hist[low : low + len(ages)] += ages
+        aoi_sum += int(aoi.sum(dtype=np.int64))
     return {
         "occ": occ,
-        "trans": trans,
-        "hist": hist,
+        "trans": trans.reshape(d + 1, d + 1),
+        "hist": hist[:top],
         "aoi_sum": aoi_sum,
-        "arrivals": arrivals,
-        "delivered": delivered,
-        "dropped": dropped,
-        "arrivals_m": arrivals_m,
+    }
+
+
+def _replicate(cfg: SimConfig, pipe: _Pipeline, rep: int) -> dict:
+    """One seeded replication; returns raw post-warmup tallies."""
+    slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
+    idx = np.int32 if slots + d < np.iinfo(np.int32).max else np.int64
+    a, s1, s2_idle, s2_busy = _draw(cfg, pipe, rep, idx)
+    n = len(a) - 1
+    wait = _wait_table(s1, d)
+    del s1
+    e = _departures(a[:n], wait, d) if n else a[:0]
+    # departures are strictly increasing; a packet departing past the
+    # horizon is still queued at its end
+    # (searched with idx scalars: a Python int would make an int64 copy of e)
+    done = e[: e.searchsorted(idx(slots))]
+    delivered = wait[done] == 0
+    del wait
+    late = int(done.searchsorted(idx(warmup)))
+    delivered_m = int(np.count_nonzero(delivered[late:]))
+    return {
+        **_slot_tallies(a, e, s2_idle, s2_busy, cfg),
+        "arrivals": n,
+        "delivered": int(np.count_nonzero(delivered)),
+        "dropped": len(done) - int(np.count_nonzero(delivered)),
+        "arrivals_m": n - int(a[:n].searchsorted(idx(warmup))),
         "delivered_m": delivered_m,
-        "dropped_m": dropped_m,
-        "queue_residual": len(queue),
+        "dropped_m": len(done) - late - delivered_m,
+        "queue_residual": n - len(done),
     }
 
 
@@ -213,39 +352,40 @@ def _ci(values: list[float], replications: int) -> float:
 
 def _run(
     cfg: SimConfig, violation_thresholds: tuple[int, ...]
-) -> tuple[SimulationReport, _Pipeline, list[list[int]]]:
+) -> tuple[SimulationReport, _Pipeline, np.ndarray]:
     pipe = _pipeline(cfg)
     reps = [_replicate(cfg, pipe, r) for r in range(cfg.replications)]
     measured = cfg.slots - cfg.warmup_slots
     n_rep = cfg.replications
 
+    occ = np.array([r["occ"] for r in reps])
+    hists = np.zeros((n_rep, max(len(r["hist"]) for r in reps)), dtype=np.int64)
+    for row, r in zip(hists, reps):
+        row[: len(r["hist"])] = r["hist"]
+
     per_rep = {
         "drop_rate": [r["dropped_m"] / measured for r in reps],
         "throughput": [r["delivered_m"] / measured for r in reps],
-        "busy_prob": [(measured - r["occ"][0]) / measured for r in reps],
+        "busy_prob": [(measured - int(c)) / measured for c in occ[:, 0]],
         "per_packet_drop_prob": [
             (r["dropped_m"] / r["arrivals_m"]) if r["arrivals_m"] > 0 else 0.0 for r in reps
         ],
         "aoi_average": [r["aoi_sum"] / measured for r in reps],
     }
     for x in violation_thresholds:
+        # every measured slot has one age, so those above x are the rest
         per_rep[f"aoi_violation_{x}"] = [
-            sum(r["hist"][x + 1 :]) / measured for r in reps
+            (measured - int(c)) / measured for c in hists[:, : x + 1].sum(axis=1)
         ]
 
     ci = {k: _ci(v, n_rep) for k, v in per_rep.items()}
     means = {k: float(np.mean(v)) for k, v in per_rep.items()}
 
-    occupancy = tuple(
-        float(np.mean([r["occ"][s] / measured for r in reps]))
-        for s in range(cfg.params.deadline + 1)
-    )
-    histogram: dict[int, int] = {}
-    for r in reps:
-        for age, count in enumerate(r["hist"]):
-            if count:
-                histogram[age] = histogram.get(age, 0) + count
-    histogram = dict(sorted(histogram.items()))
+    # one row per state, so each mean sums its replications as np.mean(list) does
+    occupancy = tuple(np.mean(np.ascontiguousarray(occ.T) / measured, axis=1).tolist())
+    total = hists.sum(axis=0)
+    ages = np.flatnonzero(total)
+    histogram = dict(zip(ages.tolist(), total[ages].tolist()))
 
     counts = {
         "arrivals": sum(r["arrivals"] for r in reps),
@@ -255,10 +395,7 @@ def _run(
         "measured_slots": measured * n_rep,
     }
 
-    trans_total = [
-        [sum(r["trans"][i][j] for r in reps) for j in range(cfg.params.deadline + 1)]
-        for i in range(cfg.params.deadline + 1)
-    ]
+    trans_total = sum(r["trans"] for r in reps)
 
     report = SimulationReport(
         mode=cfg.mode,
@@ -339,27 +476,25 @@ def transition_frequency_check(
     analytical = build_waiting_time_matrix(
         QueueParams(cfg.params.arrival_prob, pipe.mu1, d)
     ).entries
-    visits = tuple(sum(row) for row in trans)
+    visits = trans.sum(axis=1)
+    enough = visits >= min_visits
     empirical = np.full((d + 1, d + 1), np.nan)
-    flagged = []
-    insufficient = []
-    for i in range(d + 1):
-        if visits[i] < min_visits:
-            insufficient.append(i)
-            continue
-        for j in range(d + 1):
-            emp = trans[i][j] / visits[i]
-            empirical[i, j] = emp
-            a = analytical[i, j]
-            threshold = 3.0 * math.sqrt(a * (1.0 - a) / visits[i]) + 0.005
-            if abs(emp - a) > threshold:
-                flagged.append((i, j, emp, float(a), threshold))
+    empirical[enough] = trans[enough] / visits[enough, None]
+    # unvisited states divide by 1 here; they are insufficient and never flagged
+    threshold = (
+        3.0 * np.sqrt(analytical * (1.0 - analytical) / np.maximum(visits, 1)[:, None]) + 0.005
+    )
+    rows, cols = np.nonzero(np.abs(empirical - analytical) > threshold)
+    flagged = tuple(
+        (i, j, float(empirical[i, j]), float(analytical[i, j]), float(threshold[i, j]))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    )
     return TransitionCheck(
         analytical=analytical,
         empirical=empirical,
-        visits=visits,
-        flagged=tuple(flagged),
-        insufficient_states=tuple(insufficient),
+        visits=tuple(visits.tolist()),
+        flagged=flagged,
+        insufficient_states=tuple(np.flatnonzero(~enough).tolist()),
         min_visits=min_visits,
         passed=not flagged,
     )

@@ -55,7 +55,11 @@ class SystemParams:
 
 @dataclass(frozen=True, eq=False)
 class AnalyticalReport:
-    """Every closed-form output of the pipeline for one parameter point."""
+    """Every closed-form output of the pipeline for one parameter point.
+
+    delta and mpr_strong are None when a solo success probability is 0,
+    where the MPR strength is undefined.
+    """
 
     params: SystemParams
     sp: SuccessProbs
@@ -63,8 +67,8 @@ class AnalyticalReport:
     p2: float
     mu1: float
     mu2: float
-    delta: float
-    mpr_strong: bool
+    delta: float | None
+    mpr_strong: bool | None
     queue: QueueMetrics
     aoi_average: float
     aoi_violation: dict[int, float]
@@ -106,7 +110,7 @@ def analyze(
     active = params.q1 * queue.busy_prob
     p2 = (1.0 - active) * sp.p_2_solo + active * sp.p_2_joint
     mu2 = params.q2 * p2
-    delta = channel.mpr_strength(sp)
+    delta = channel.mpr_strength(sp) if sp.p_1_solo > 0.0 and sp.p_2_solo > 0.0 else None
     aoi_params = AoiParams(mu2)
     return AnalyticalReport(
         params=params,
@@ -116,7 +120,7 @@ def analyze(
         mu1=mu1,
         mu2=mu2,
         delta=delta,
-        mpr_strong=channel.is_strong_mpr(delta),
+        mpr_strong=None if delta is None else channel.is_strong_mpr(delta),
         queue=queue,
         aoi_average=average_aoi(aoi_params),
         aoi_violation={x: aoi_violation(aoi_params, x) for x in violation_thresholds},

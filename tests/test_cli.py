@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,22 @@ def test_sweep_q2_tradeoff_in_emitted_rows(write_scenario, tmp_path):
     weak_aoi = aoi
     strong_aoi = [r["ana_aoi_average"] for r in curves["strong"]]
     assert all(w > s for w, s in zip(weak_aoi, strong_aoi))
+
+
+def test_sweep_past_solo_success_underflow_leaves_delta_empty(tmp_path):
+    # at 90 dB both solo success probabilities underflow to 0
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
+    out = tmp_path / "gamma"
+    assert cli.main(
+        ["sweep", "--scenario", str(scenario), "--axis", "gamma_db", "--values", "0,30,60,90",
+         "--out", str(out)]
+    ) == 0
+    for rows in (results.read_csv(out.with_suffix(".csv")), results.read_json(out.with_suffix(".json"))):
+        assert len(rows) == 4
+        assert [r["delta"] is None for r in rows] == [False, False, False, True]
+        assert rows[3]["mpr_strong"] is None
+        assert rows[3]["p_1_solo"] == 0.0
+    assert json.loads(out.with_suffix(".json").read_text())["rows"][3]["delta"] is None
 
 
 def test_sweep_from_scenario_block_with_sim(write_scenario, tmp_path):

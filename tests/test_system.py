@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import QueueParams, queue_metrics
 from aoi_access.errors import ParameterError
 from aoi_access.system import (
@@ -165,3 +166,14 @@ def test_system_params_validation():
         make_params(arrival_prob=-0.1)
     with pytest.raises(ParameterError):
         make_params(deadline=0)
+
+
+def test_mpr_strength_is_none_when_a_solo_success_underflows():
+    params = make_params(gamma_db=90.0)
+    sp = success_probs(params)
+    assert sp.p_1_solo == 0.0 and sp.p_2_solo == 0.0
+    report = analyze(params)
+    assert report.delta is None and report.mpr_strong is None
+    assert report.mu1 == 0.0
+    with pytest.raises(ParameterError):
+        mpr_strength(sp)
