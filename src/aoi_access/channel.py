@@ -20,12 +20,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ParameterError(f"power must be positive to express in dBm, got {watts}")
-    return 10.0 * math.log10(watts * 1000.0)
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 

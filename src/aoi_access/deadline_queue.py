@@ -68,17 +68,20 @@ def build_waiting_time_matrix(p: QueueParams) -> StochasticMatrix:
     """
     lam, mu, d = p.arrival_prob, p.service_prob, p.deadline
     lam_bar = 1.0 - lam
+    # down[i] = lam_bar**(d - i) as a Python power, so that every entry is
+    # bit-identical to mu * lam * lam_bar**(k - j); row k takes the powers
+    # k-1 down to 0 from its tail
+    down = np.array([lam_bar**i for i in range(d, -1, -1)])
     m = np.zeros((d + 1, d + 1))
     m[0, 0] = lam_bar
     m[0, 1] = lam
+    served = mu * lam * down
     for k in range(1, d):
-        m[k, 0] = mu * lam_bar**k
-        for j in range(1, k + 1):
-            m[k, j] = mu * lam * lam_bar ** (k - j)
+        m[k, 0] = mu * down[d - k]
+        m[k, 1 : k + 1] = served[d - k + 1 :]
         m[k, k + 1] = 1.0 - mu
-    m[d, 0] = lam_bar**d
-    for j in range(1, d + 1):
-        m[d, j] = lam * lam_bar ** (d - j)
+    m[d, 0] = down[0]
+    m[d, 1:] = lam * down[1:]
     return StochasticMatrix(m)
 
 

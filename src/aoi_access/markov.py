@@ -1,8 +1,10 @@
 """Finite discrete-time Markov chain utilities.
 
-Small dense chains only (a few dozen states). The stationary solver uses
-a direct linear solve; stationary_power_iteration is an independent
-cross-check path kept deliberately separate from it.
+Dense chains of up to a few thousand states. The stationary solver
+checks the transition pattern for a unique closed class by numpy
+reachability and then makes one dense LU solve, O(n^3);
+stationary_power_iteration is an independent cross-check path kept
+deliberately separate from it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, NotIrreducibleError, NotStochasticError
 
@@ -67,17 +67,37 @@ class StationaryDistribution:
         return len(self.probs)
 
 
-def _closed_class_count(m: StochasticMatrix) -> int:
-    """Number of closed communicating classes of the nonzero-pattern graph."""
-    mask = m.entries > 0.0
-    n_comp, labels = connected_components(csr_matrix(mask), directed=True, connection="strong")
-    closed = 0
-    for c in range(n_comp):
-        states = labels == c
-        # a class is closed iff no mass leaves it
-        if not mask[np.ix_(states, ~states)].any():
-            closed += 1
-    return closed
+def _reach(mask: np.ndarray, start: int) -> np.ndarray:
+    """States reachable from start (itself included) along mask's edges i -> j."""
+    seen = np.zeros(len(mask), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        step = mask[frontier].any(axis=0) & ~seen
+        seen |= step
+        frontier = np.flatnonzero(step)
+    return seen
+
+
+def _unique_closed_class(mask: np.ndarray) -> bool:
+    """Whether the graph of mask (edge i -> j where mask[i, j]) has exactly one closed class.
+
+    A finite chain has one closed class iff some state is reachable from
+    every state. Starting at r = 0, r moves into reach(r) minus
+    reach_back(r) while that is not empty: each move drops r from the
+    forward set, so it shrinks, and when it stops reach(r) is the closed
+    class holding r. The answer is then whether every state reaches r.
+    """
+    back = np.ascontiguousarray(mask.T)
+    r = 0
+    while True:
+        backward = _reach(back, r)
+        if backward.all():
+            return True
+        escape = np.flatnonzero(_reach(mask, r) & ~backward)
+        if not len(escape):
+            return False
+        r = int(escape[0])
 
 
 def _check_residual(pi: np.ndarray, m: StochasticMatrix, context: str) -> None:
@@ -89,20 +109,32 @@ def _check_residual(pi: np.ndarray, m: StochasticMatrix, context: str) -> None:
 def stationary(m: StochasticMatrix) -> StationaryDistribution:
     """Unique stationary distribution via a direct linear solve.
 
-    Solves (P^T - I) pi = 0 with the normalization row appended, which is
-    well conditioned for the small chains used here. Raises
-    NotIrreducibleError when the chain has more than one closed class
-    (the solution would not be unique).
+    Solves the square system P^T - I with its last balance row replaced
+    by the normalisation row sum(pi) = 1 (W. J. Stewart, Introduction to
+    the Numerical Solution of Markov Chains, 1994). The balance rows sum
+    to zero, so with a single closed class any one of them is redundant
+    and the system is nonsingular. Raises NotIrreducibleError when the
+    chain has more than one closed class (the solution would not be
+    unique), and ConvergenceError when the solve fails or its result
+    is not a stationary distribution.
     """
-    if _closed_class_count(m) != 1:
+    if not _unique_closed_class(m.entries > 0.0):
         raise NotIrreducibleError("chain has multiple closed classes; stationary vector not unique")
     n = m.n
-    a = np.vstack([m.entries.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    # lstsq leaves O(1e-16) round-off on states whose true mass is zero;
-    # scrub everything below the solve's noise floor so degenerate cases
+    # built as its transpose, P - I with the last column set to 1, in row
+    # order: a_t.T is then column-major, LAPACK's layout, and the solve
+    # copies it without transposing
+    a_t = m.entries.copy()
+    a_t.flat[:: n + 1] -= 1.0
+    a_t[:, -1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a_t.T, b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"direct solve failed: {exc}") from exc
+    # the solve leaves O(1e-16) round-off on states whose true mass is zero;
+    # scrub everything below its noise floor so degenerate cases
     # (absorbing empty queue, unreachable states) come out exact
     pi[np.abs(pi) < 1e-13] = 0.0
     if np.any(pi < 0.0):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import channel, system
 from .channel import SuccessProbs
-from .deadline_queue import QueueMetrics, QueueParams, build_waiting_time_matrix, queue_metrics
+from .deadline_queue import QueueParams, build_waiting_time_matrix, queue_metrics
 from .errors import ParameterError
 from .system import DEFAULT_VIOLATION_THRESHOLDS, SystemParams
 
@@ -112,21 +112,29 @@ class SimulationReport:
 
 @dataclass(frozen=True, eq=False)
 class _Pipeline:
+    """The analytic inputs of a run; mu2 is set in decoupled mode only."""
+
     sp: SuccessProbs
     mu1: float
-    metrics: QueueMetrics
-    mu2: float
+    mu2: float | None
 
 
 def _pipeline(cfg: SimConfig) -> _Pipeline:
+    """Success probabilities and mu1; decoupled mode also solves the chain for mu2.
+
+    Coupled draws need only the success probabilities, so a coupled run
+    simulates wherever the chain solve would fail.
+    """
     p = cfg.params
     sp = cfg.success_probs_override
     if sp is None:
         sp = channel.success_probs(p.link1, p.link2, p.rx)
     mu1 = system.service_prob_user1(p, sp)
-    metrics = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline))
-    mu2 = system.service_prob_user2(p, sp, metrics.busy_prob)
-    return _Pipeline(sp=sp, mu1=mu1, metrics=metrics, mu2=mu2)
+    mu2 = None
+    if cfg.mode == "decoupled":
+        busy = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline)).busy_prob
+        mu2 = system.service_prob_user2(p, sp, busy)
+    return _Pipeline(sp=sp, mu1=mu1, mu2=mu2)
 
 
 def _pieces(rng: np.random.Generator, slots: int, prob: float):
@@ -439,7 +447,9 @@ def occupancy_vs_stationary(cfg: SimConfig) -> OccupancyComparison:
     if cfg.mode != "coupled":
         raise ParameterError("occupancy comparison is defined for coupled mode")
     report, pipe, _ = _run(cfg, DEFAULT_VIOLATION_THRESHOLDS)
-    pi = tuple(float(v) for v in pipe.metrics.stationary.probs)
+    p = cfg.params
+    metrics = queue_metrics(QueueParams(p.arrival_prob, pipe.mu1, p.deadline))
+    pi = tuple(float(v) for v in metrics.stationary.probs)
     dev = max(abs(a - b) for a, b in zip(report.waiting_time_occupancy, pi))
     return OccupancyComparison(
         occupancy=report.waiting_time_occupancy, stationary=pi, max_abs_deviation=dev

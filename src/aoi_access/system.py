@@ -8,23 +8,17 @@ shapes user 2's service, and the age metrics follow from that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from . import channel
 from .aoi import AoiParams, aoi_violation, average_aoi
 from .channel import LinkParams, ReceiverParams, SuccessProbs
-from .deadline_queue import QueueMetrics, QueueParams, queue_metrics
+from .deadline_queue import QueueMetrics, QueueParams, _check_prob, queue_metrics
 from .errors import ParameterError
 
 DEFAULT_VIOLATION_THRESHOLDS = tuple(range(1, 11))
 
 SWEEP_AXES = ("q1", "q2", "lambda", "d", "gamma", "gamma_db")
-
-
-def _check_prob(name: str, v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ParameterError(f"{name} must be in [0,1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,3 @@ def sweep(
     if not values:
         raise ParameterError("sweep requires at least one value")
     return [analyze(apply_axis(base, axis, v), violation_thresholds) for v in values]
-
-
-def unbounded(x: float) -> bool:
-    return math.isinf(x)

@@ -1,0 +1,66 @@
+"""Reference implementations kept as oracles for aoi_access.markov and the chain build.
+
+build_waiting_time_matrix() fills the matrix one entry at a time.
+stationary() is a least-squares solve of P^T - I with the normalisation
+row appended, guarded by a closed-class count taken from a brute-force
+transitive closure. The library's slice-filled build, square LU solve
+and reachability test must agree with them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from aoi_access.deadline_queue import QueueParams
+from aoi_access.errors import ConvergenceError, NotIrreducibleError
+from aoi_access.markov import StationaryDistribution, StochasticMatrix, _check_residual
+
+
+def build_waiting_time_matrix(p: QueueParams) -> np.ndarray:
+    lam, mu, d = p.arrival_prob, p.service_prob, p.deadline
+    lam_bar = 1.0 - lam
+    m = np.zeros((d + 1, d + 1))
+    m[0, 0] = lam_bar
+    m[0, 1] = lam
+    for k in range(1, d):
+        m[k, 0] = mu * lam_bar**k
+        for j in range(1, k + 1):
+            m[k, j] = mu * lam * lam_bar ** (k - j)
+        m[k, k + 1] = 1.0 - mu
+    m[d, 0] = lam_bar**d
+    for j in range(1, d + 1):
+        m[d, j] = lam * lam_bar ** (d - j)
+    return m
+
+
+def transitive_closure(mask: np.ndarray) -> np.ndarray:
+    """reach[i, j]: j is reachable from i in zero or more steps (Warshall)."""
+    reach = np.asarray(mask, dtype=bool) | np.eye(len(mask), dtype=bool)
+    for k in range(len(mask)):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return reach
+
+
+def closed_class_count(mask: np.ndarray) -> int:
+    """Number of closed communicating classes of the graph of mask."""
+    reach = transitive_closure(mask)
+    mutual = reach & reach.T
+    # a state's class is closed iff every state it reaches reaches it back
+    closed = (reach <= mutual).all(axis=1)
+    return len({tuple(row) for row, c in zip(mutual.tolist(), closed) if c})
+
+
+def stationary(m: StochasticMatrix) -> StationaryDistribution:
+    if closed_class_count(m.entries > 0.0) != 1:
+        raise NotIrreducibleError("chain has multiple closed classes; stationary vector not unique")
+    n = m.n
+    a = np.vstack([m.entries.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    pi[np.abs(pi) < 1e-13] = 0.0
+    if np.any(pi < 0.0):
+        raise ConvergenceError(f"direct solve produced a negative probability: {pi.min()!r}")
+    pi /= pi.sum()
+    _check_residual(pi, m, "direct solve")
+    return StationaryDistribution(pi)

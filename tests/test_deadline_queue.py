@@ -1,6 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chain_oracle
 from aoi_access.channel import SuccessProbs
 from aoi_access.deadline_queue import (
     QueueParams,
@@ -11,7 +15,7 @@ from aoi_access.deadline_queue import (
     verify_lumpability,
 )
 from aoi_access.errors import ParameterError, PartitionError
-from aoi_access.markov import StochasticMatrix
+from aoi_access.markov import StochasticMatrix, stationary
 
 
 def reference_d3_matrix(lam, mu):
@@ -60,6 +64,49 @@ def test_rows_always_sum_to_one():
         d = int(rng.integers(1, 13))
         m = build_waiting_time_matrix(QueueParams(lam, mu, d)).entries
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 4e-15
+
+
+probs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=probs, mu=probs, d=st.integers(1, 60))
+def test_build_equals_entrywise_loop_build(lam, mu, d):
+    p = QueueParams(lam, mu, d)
+    built = build_waiting_time_matrix(p).entries
+    assert np.array_equal(built, chain_oracle.build_waiting_time_matrix(p))
+
+
+def closed_form_stationary(lam, mu, d):
+    """pi_0 and pi_j, j = 1..d, proportional to 1 and (lam/lam_bar)((1-mu)/lam_bar)^(j-1)."""
+    with mpmath.workdps(40):
+        lam_bar = 1 - mpmath.mpf(lam)
+        ratio = (1 - mpmath.mpf(mu)) / lam_bar
+        terms = [mpmath.mpf(1), mpmath.mpf(lam) / lam_bar]
+        for _ in range(d - 1):
+            terms.append(terms[-1] * ratio)
+        total = mpmath.fsum(terms)
+        return np.array([float(t / total) for t in terms])
+
+
+def test_stationary_matches_closed_form_on_grid():
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        lam, mu = (float(v) for v in rng.uniform(0.02, 0.98, size=2))
+        d = int(rng.integers(1, 300))
+        pi = queue_metrics(QueueParams(lam, mu, d)).stationary.probs
+        assert np.max(np.abs(pi - closed_form_stationary(lam, mu, d))) <= 1e-12, (lam, mu, d)
+
+
+@pytest.mark.parametrize(
+    "lam,mu,d", [(0.8, 0.832, 300), (0.747, 0.832, 300), (0.829, 0.849, 400), (0.697, 0.854, 400)]
+)
+def test_long_deadline_solve_has_no_negative_mass(lam, mu, d):
+    # a least-squares solve leaves round-off below -1e-13 on these points
+    m = build_waiting_time_matrix(QueueParams(lam, mu, d))
+    pi = stationary(m).probs
+    assert pi.min() >= 0.0
+    assert np.max(np.abs(pi @ m.entries - pi)) <= 1e-10
 
 
 def test_extreme_arrival_probabilities():

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import aoi_access
+import chain_oracle
+from aoi_access import markov
 from aoi_access.deadline_queue import QueueParams, build_waiting_time_matrix
 from aoi_access.errors import ConvergenceError, NotIrreducibleError, NotStochasticError
 from aoi_access.markov import (
@@ -94,3 +104,78 @@ def test_stationary_distribution_validates():
         StationaryDistribution([0.7, 0.7])
     with pytest.raises(ConvergenceError):
         StationaryDistribution([-0.1, 1.1])
+
+
+@st.composite
+def patterns(draw, max_n=12):
+    """Sparse transition patterns with every row given at least one edge.
+
+    A row left empty gets a self-loop, so absorbing states, transient
+    states and several closed classes all occur.
+    """
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    mask = np.array(cells).reshape(n, n) < density
+    empty = np.flatnonzero(~mask.any(axis=1))
+    mask[empty, empty] = True
+    return mask
+
+
+@st.composite
+def chains(draw):
+    mask = draw(patterns())
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=mask.size, max_size=mask.size))
+    m = np.array(weights).reshape(mask.shape) * mask
+    return StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=patterns())
+@example(mask=np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=bool))
+@example(mask=np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]], dtype=bool))
+@example(mask=np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]], dtype=bool))
+def test_reachability_matches_transitive_closure(mask):
+    assert markov._unique_closed_class(mask) == (chain_oracle.closed_class_count(mask) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=chains())
+def test_stationary_matches_lstsq_and_power_iteration(m):
+    try:
+        want = chain_oracle.stationary(m)
+    except NotIrreducibleError:
+        with pytest.raises(NotIrreducibleError):
+            stationary(m)
+        return
+    got = stationary(m)
+    assert np.max(np.abs(got.probs - want.probs)) <= 1e-11
+    # the lazy chain is aperiodic and has the same stationary vector
+    lazy = StochasticMatrix((m.entries + np.eye(m.n)) / 2.0)
+    power = stationary_power_iteration(lazy, steps=100_000)
+    assert np.max(np.abs(got.probs - power.probs)) <= 1e-9
+
+
+def test_failed_solve_is_a_convergence_error(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(markov.np.linalg, "solve", singular)
+    with pytest.raises(ConvergenceError):
+        stationary(StochasticMatrix([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_import_does_not_load_scipy():
+    src = Path(aoi_access.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import importlib, pkgutil, sys, aoi_access\n"
+        "for mod in pkgutil.iter_modules(aoi_access.__path__):\n"
+        "    importlib.import_module('aoi_access.' + mod.name)\n"
+        "print(sorted(k for k in sys.modules if k.partition('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

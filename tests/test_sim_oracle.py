@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import slot_oracle
 from aoi_access import sim
 from aoi_access.channel import SuccessProbs
+from aoi_access.errors import NotIrreducibleError
 from aoi_access.sim import MODES, SimConfig, simulate
 
 from conftest import make_params
@@ -118,6 +119,30 @@ def test_edges_match_slot_oracle(edge, mode):
 def test_long_horizon_matches_slot_oracle(params, mode):
     # several draw pieces, tally blocks and departure chunks
     _assert_matches_oracle(SimConfig(params=params, slots=120_000, seed=77, mode=mode))
+
+
+def test_coupled_run_needs_no_chain_solve():
+    # lam = mu = 1 makes every nonzero head-of-line age absorbing, so the
+    # chain has no unique stationary vector; only decoupled draws need it
+    cfg = SimConfig(
+        params=make_params(q1=1.0, q2=0.0, arrival_prob=1.0, deadline=3),
+        slots=3_000,
+        seed=5,
+        success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0),
+    )
+    assert simulate(cfg) == slot_oracle.simulate(cfg)
+    with pytest.raises(NotIrreducibleError):
+        simulate(dataclasses.replace(cfg, mode="decoupled"))
+
+
+def test_long_deadline_coupled_run_matches_slot_oracle():
+    cfg = SimConfig(
+        params=make_params(arrival_prob=0.2, deadline=1000),
+        slots=10_000,
+        seed=1,
+        success_probs_override=SuccessProbs(0.5, 0.5, 0.5, 0.5),
+    )
+    assert simulate(cfg) == slot_oracle.simulate(cfg)
 
 
 def test_replication_memory_within_oracle_budget():
