@@ -29,10 +29,11 @@ class StochasticMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise NotStochasticError(f"transition matrix must be square, got shape {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        # written so that a NaN, which fails every comparison, fails the checks
+        if not (m.min() >= 0.0 and m.max() <= 1.0):
             raise NotStochasticError("transition matrix entries must lie in [0, 1]")
         row_err = np.abs(m.sum(axis=1) - 1.0)
-        if np.any(row_err > ROW_SUM_TOL):
+        if not (row_err <= ROW_SUM_TOL).all():
             worst = int(np.argmax(row_err))
             raise NotStochasticError(
                 f"row {worst} sums to {m[worst].sum()!r}, off by more than {ROW_SUM_TOL}"
@@ -54,7 +55,7 @@ class StationaryDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or np.any(p < 0.0) or abs(p.sum() - 1.0) > ROW_SUM_TOL:
+        if p.ndim != 1 or not (len(p) and p.min() >= 0.0 and abs(p.sum() - 1.0) <= ROW_SUM_TOL):
             raise ConvergenceError("stationary vector must be nonnegative and sum to 1")
         p = p.copy()
         p.setflags(write=False)

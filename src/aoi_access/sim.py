@@ -434,6 +434,28 @@ def simulate(
 
 
 @dataclass(frozen=True, eq=False)
+class CoupledRun:
+    """One finished coupled simulation, read by both DTMC checks.
+
+    transitions[i, j] counts the post-warmup one-step moves from state i
+    to state j, summed over the replications.
+    """
+
+    cfg: SimConfig
+    report: SimulationReport
+    mu1: float
+    transitions: np.ndarray
+
+
+def coupled_run(cfg: SimConfig) -> CoupledRun:
+    """Simulate cfg once for compare_occupancy and compare_transitions."""
+    if cfg.mode != "coupled":
+        raise ParameterError("occupancy and transition checks are defined for coupled mode")
+    report, pipe, trans = _run(cfg, DEFAULT_VIOLATION_THRESHOLDS)
+    return CoupledRun(cfg=cfg, report=report, mu1=pipe.mu1, transitions=trans)
+
+
+@dataclass(frozen=True, eq=False)
 class OccupancyComparison:
     """Empirical head-of-line-age occupancy against the chain's stationary vector."""
 
@@ -442,18 +464,19 @@ class OccupancyComparison:
     max_abs_deviation: float
 
 
+def compare_occupancy(run: CoupledRun) -> OccupancyComparison:
+    """Compare a run's state occupancy with the analytical steady state."""
+    p = run.cfg.params
+    metrics = queue_metrics(QueueParams(p.arrival_prob, run.mu1, p.deadline))
+    pi = tuple(float(v) for v in metrics.stationary.probs)
+    occupancy = run.report.waiting_time_occupancy
+    dev = max(abs(a - b) for a, b in zip(occupancy, pi))
+    return OccupancyComparison(occupancy=occupancy, stationary=pi, max_abs_deviation=dev)
+
+
 def occupancy_vs_stationary(cfg: SimConfig) -> OccupancyComparison:
     """Compare simulated state occupancy with the analytical steady state."""
-    if cfg.mode != "coupled":
-        raise ParameterError("occupancy comparison is defined for coupled mode")
-    report, pipe, _ = _run(cfg, DEFAULT_VIOLATION_THRESHOLDS)
-    p = cfg.params
-    metrics = queue_metrics(QueueParams(p.arrival_prob, pipe.mu1, p.deadline))
-    pi = tuple(float(v) for v in metrics.stationary.probs)
-    dev = max(abs(a - b) for a, b in zip(report.waiting_time_occupancy, pi))
-    return OccupancyComparison(
-        occupancy=report.waiting_time_occupancy, stationary=pi, max_abs_deviation=dev
-    )
+    return compare_occupancy(coupled_run(cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,17 +498,13 @@ class TransitionCheck:
     passed: bool
 
 
-def transition_frequency_check(
-    cfg: SimConfig, min_visits: int = DEFAULT_MIN_VISITS
-) -> TransitionCheck:
-    """Validate the constructed waiting-time matrix against simulated transitions."""
-    if cfg.mode != "coupled":
-        raise ParameterError("transition frequency check is defined for coupled mode")
-    _, pipe, trans = _run(cfg, DEFAULT_VIOLATION_THRESHOLDS)
-    d = cfg.params.deadline
+def compare_transitions(run: CoupledRun, min_visits: int) -> TransitionCheck:
+    """Check a run's transition frequencies against the constructed waiting-time matrix."""
+    d = run.cfg.params.deadline
     analytical = build_waiting_time_matrix(
-        QueueParams(cfg.params.arrival_prob, pipe.mu1, d)
+        QueueParams(run.cfg.params.arrival_prob, run.mu1, d)
     ).entries
+    trans = run.transitions
     visits = trans.sum(axis=1)
     enough = visits >= min_visits
     empirical = np.full((d + 1, d + 1), np.nan)
@@ -508,3 +527,10 @@ def transition_frequency_check(
         min_visits=min_visits,
         passed=not flagged,
     )
+
+
+def transition_frequency_check(
+    cfg: SimConfig, min_visits: int = DEFAULT_MIN_VISITS
+) -> TransitionCheck:
+    """Validate the constructed waiting-time matrix against simulated transitions."""
+    return compare_transitions(coupled_run(cfg), min_visits)

@@ -4,15 +4,17 @@ Runs four check families over a small parameter grid: decoupled
 simulation against the analytical report, strong lumpability of the
 joint action chain onto the waiting-time chain, simulated occupancy
 against the stationary vector, and empirical transition frequencies
-against the constructed matrix. Statistical tolerances are stated at a
-1e6-slot horizon and scaled by sqrt(1e6/slots) when a different horizon
-is requested.
+against the constructed matrix. Each grid cell is simulated twice: one
+decoupled run (seed + i) for the first family, and one coupled run
+(seed + 1000 + i) that the occupancy and transition checks both read.
+Statistical tolerances are stated at a 1e6-slot horizon and scaled by
+sqrt(1e6/slots) when a different horizon is requested.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,12 +30,14 @@ from .deadline_queue import (
 from .markov import stationary
 from .sim import (
     DEFAULT_MIN_VISITS,
+    CoupledRun,
     SimConfig,
-    occupancy_vs_stationary,
+    compare_occupancy,
+    compare_transitions,
+    coupled_run,
     simulate,
-    transition_frequency_check,
 )
-from .system import AnalyticalReport, SystemParams, analyze, success_probs
+from .system import AnalyticalReport, SystemParams, analyze, service_prob_user1, success_probs
 
 # symmetric reference radio setup: 5 mW at 30 m, path-loss exponent 4,
 # unit-mean fading, -100 dBm receiver noise
@@ -83,6 +87,10 @@ def reference_params(gamma_db: float, q1: float, q2: float, lam: float, d: int) 
     )
 
 
+def cell_params(cell: dict) -> SystemParams:
+    return reference_params(cell["gamma_db"], cell["q1"], cell["q2"], cell["lam"], cell["d"])
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -103,7 +111,7 @@ def check_analytical_vs_decoupled(
     worst = {"cell": None, "metric": None, "gap": 0.0}
     failures = []
     for i, cell in enumerate(grid):
-        params = reference_params(cell["gamma_db"], cell["q1"], cell["q2"], cell["lam"], cell["d"])
+        params = cell_params(cell)
         report = analyze(params)
         if tweak is not None:
             report = tweak(report)
@@ -147,13 +155,14 @@ def check_lumpability() -> CheckResult:
     worst_busy = 0.0
     failures = []
     for gamma_db in LUMP_GRID_GAMMA_DB:
-        sp = success_probs(reference_params(gamma_db, 0.5, 0.5, 0.5, 1))
+        base = reference_params(gamma_db, 0.5, 0.5, 0.5, 1)
+        sp = success_probs(base)
         for lam in LUMP_GRID_LAM:
             for q1 in LUMP_GRID_Q1:
                 for q2 in LUMP_GRID_Q2:
+                    mu1 = service_prob_user1(replace(base, q1=q1, q2=q2), sp)
                     for d in LUMP_GRID_D:
                         combos += 1
-                        mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
                         qp = QueueParams(lam, mu1, d)
                         chain2d = build_2d_action_chain(qp, q2, sp, q1)
                         rep = verify_lumpability(chain2d, action_partition(d))
@@ -193,42 +202,43 @@ def check_lumpability() -> CheckResult:
     )
 
 
-def check_occupancy(grid, slots: int, seed: int) -> CheckResult:
+def check_occupancy(grid, runs: list[CoupledRun], slots: int) -> CheckResult:
     scale = math.sqrt(1_000_000 / slots)
     tol = 0.005 * scale
     worst = 0.0
     failures = []
-    for i, cell in enumerate(grid):
-        params = reference_params(cell["gamma_db"], cell["q1"], cell["q2"], cell["lam"], cell["d"])
-        cmp = occupancy_vs_stationary(
-            SimConfig(params=params, slots=slots, seed=seed + 1000 + i, mode="coupled")
-        )
+    for cell, run in zip(grid, runs):
+        cmp = compare_occupancy(run)
         worst = max(worst, cmp.max_abs_deviation)
         if cmp.max_abs_deviation > tol:
-            failures.append({"cell": cell, "max_abs_deviation": cmp.max_abs_deviation})
+            failures.append(
+                {"cell": cell, "seed": run.cfg.seed, "max_abs_deviation": cmp.max_abs_deviation}
+            )
     return CheckResult(
         name="occupancy_vs_stationary",
         passed=not failures,
-        details={"slots": slots, "tol": tol, "worst": worst, "failures": failures},
+        details={
+            "slots": slots,
+            "tol": tol,
+            "worst": worst,
+            "failures": failures,
+            "seeds": [run.cfg.seed for run in runs],
+        },
     )
 
 
-def check_transitions(grid, slots: int, seed: int) -> CheckResult:
+def check_transitions(grid, runs: list[CoupledRun], slots: int) -> CheckResult:
     measured = slots - slots // 10
     min_visits = min(DEFAULT_MIN_VISITS, max(100, measured // 20))
     failures = []
     insufficient = []
-    for i, cell in enumerate(grid):
-        params = reference_params(cell["gamma_db"], cell["q1"], cell["q2"], cell["lam"], cell["d"])
-        check = transition_frequency_check(
-            SimConfig(params=params, slots=slots, seed=seed + 2000 + i, mode="coupled"),
-            min_visits=min_visits,
-        )
+    for cell, run in zip(grid, runs):
+        check = compare_transitions(run, min_visits)
         if check.insufficient_states:
             insufficient.append({"cell": cell, "states": list(check.insufficient_states)})
         if not check.passed:
             failures.append(
-                {"cell": cell, "flagged": [list(f) for f in check.flagged]}
+                {"cell": cell, "seed": run.cfg.seed, "flagged": [list(f) for f in check.flagged]}
             )
     return CheckResult(
         name="transition_frequencies",
@@ -238,6 +248,7 @@ def check_transitions(grid, slots: int, seed: int) -> CheckResult:
             "min_visits": min_visits,
             "insufficient": insufficient,
             "failures": failures,
+            "seeds": [run.cfg.seed for run in runs],
         },
     )
 
@@ -252,8 +263,15 @@ def run_validation(
     checks = [
         check_analytical_vs_decoupled(grid, slots, seed, analytical_tweak),
         check_lumpability(),
-        check_occupancy(grid, slots, seed),
-        check_transitions(grid, slots, seed),
+    ]
+    # the occupancy and transition checks read one coupled run per cell
+    runs = [
+        coupled_run(SimConfig(params=cell_params(cell), slots=slots, seed=seed + 1000 + i))
+        for i, cell in enumerate(grid)
+    ]
+    checks += [
+        check_occupancy(grid, runs, slots),
+        check_transitions(grid, runs, slots),
     ]
     passed = all(c.passed for c in checks)
     verdict = {

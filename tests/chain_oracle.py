@@ -3,16 +3,17 @@
 build_waiting_time_matrix() fills the matrix one entry at a time.
 stationary() is a least-squares solve of P^T - I with the normalisation
 row appended, guarded by a closed-class count taken from a brute-force
-transitive closure. The library's slice-filled build, square LU solve
-and reachability test must agree with them.
+transitive closure. verify_lumpability() loops over the blocks of the
+partition. The library's slice-filled build, square LU solve,
+reachability test and reduceat lumpability check must agree with them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from aoi_access.deadline_queue import QueueParams
-from aoi_access.errors import ConvergenceError, NotIrreducibleError
+from aoi_access.deadline_queue import LUMP_TOL, LumpabilityReport, QueueParams
+from aoi_access.errors import ConvergenceError, NotIrreducibleError, PartitionError
 from aoi_access.markov import StationaryDistribution, StochasticMatrix, _check_residual
 
 
@@ -64,3 +65,35 @@ def stationary(m: StochasticMatrix) -> StationaryDistribution:
     pi /= pi.sum()
     _check_residual(pi, m, "direct solve")
     return StationaryDistribution(pi)
+
+
+def verify_lumpability(
+    m: StochasticMatrix, partition: list[list[int]], tol: float = LUMP_TOL
+) -> LumpabilityReport:
+    n = m.n
+    seen = sorted(s for block in partition for s in block)
+    if seen != list(range(n)):
+        raise PartitionError("partition must cover every state exactly once")
+    if any(len(block) == 0 for block in partition):
+        raise PartitionError("partition blocks must be non-empty")
+
+    nblocks = len(partition)
+    # block_sums[s, J] = total probability of jumping from state s into block J
+    block_sums = np.empty((n, nblocks))
+    for j, block in enumerate(partition):
+        block_sums[:, j] = m.entries[:, block].sum(axis=1)
+
+    max_dev = 0.0
+    lumped = np.empty((nblocks, nblocks))
+    for i, block in enumerate(partition):
+        rows = block_sums[block, :]
+        dev = float(np.max(rows.max(axis=0) - rows.min(axis=0)))
+        max_dev = max(max_dev, dev)
+        lumped[i, :] = rows.mean(axis=0)
+    np.minimum(lumped, 1.0, out=lumped)
+
+    if max_dev > tol:
+        return LumpabilityReport(lumpable=False, max_deviation=max_dev, lumped=None)
+    return LumpabilityReport(
+        lumpable=True, max_deviation=max_dev, lumped=StochasticMatrix(lumped)
+    )

@@ -244,3 +244,82 @@ def test_partition_must_cover_disjointly():
         verify_lumpability(m, [[0]])
     with pytest.raises(PartitionError):
         verify_lumpability(m, [[0, 1], [1]])
+    with pytest.raises(PartitionError):
+        verify_lumpability(m, [[0, 1], []])
+
+
+@pytest.mark.parametrize("row", [[0.2, 0.4, 0.3, 0.1], [0.1, 0.2, 0.4, 0.3]])
+def test_sure_jump_rounding_above_one_lumps_to_one(row):
+    # summed in one order or another, these rows come to 1 + 2**-52, so a
+    # one-block lumped chain would hold an entry above 1 and fail validation
+    m = StochasticMatrix([row] * 4)
+    report = verify_lumpability(m, [[0, 1, 2, 3]])
+    assert report.lumpable
+    assert report.lumped.entries.tolist() == [[1.0]]
+
+
+@st.composite
+def partitioned_chains(draw, max_n=12):
+    """A random stochastic matrix and a random partition of its states.
+
+    The blocks come in random order and have unequal sizes, singletons
+    included. Half of the matrices are built lumpable: every state of
+    block I spreads the lumped row L[I] over the states of each block J
+    with weights of its own. The rest are plain random rows, which are
+    not lumpable once a block of two or more states sits beside another
+    block.
+    """
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    partition = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n)))
+    w = w.reshape(n, n)
+    built_lumpable = draw(st.booleans())
+    if not built_lumpable:
+        return StochasticMatrix(w / w.sum(axis=1, keepdims=True)), partition, False
+    k = len(partition)
+    lumped = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k * k, max_size=k * k)))
+    lumped = lumped.reshape(k, k) / lumped.reshape(k, k).sum(axis=1, keepdims=True)
+    m = np.zeros((n, n))
+    for i, rows in enumerate(partition):
+        for s in rows:
+            for j, cols in enumerate(partition):
+                m[s, cols] = lumped[i, j] * w[s, cols] / w[s, cols].sum()
+    return StochasticMatrix(m), partition, True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=partitioned_chains())
+def test_lumpability_matches_block_loop_oracle(case):
+    m, partition, built_lumpable = case
+    got = verify_lumpability(m, partition)
+    want = chain_oracle.verify_lumpability(m, partition)
+    assert got.lumpable == want.lumpable
+    assert (got.lumped is None) == (want.lumped is None)
+    assert abs(got.max_deviation - want.max_deviation) <= 1e-15
+    if want.lumped is not None:
+        assert np.max(np.abs(got.lumped.entries - want.lumped.entries)) <= 1e-15
+    if built_lumpable:
+        assert got.lumpable
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.0),
+    q1=st.floats(0.0, 1.0),
+    q2=st.floats(0.0, 1.0),
+    solo=st.floats(0.0, 1.0),
+    joint_share=st.floats(0.0, 1.0),
+    d=st.integers(1, 12),
+)
+def test_action_partition_lumps_exactly_as_block_loop_oracle(lam, q1, q2, solo, joint_share, d):
+    sp = SuccessProbs(p_1_solo=solo, p_1_joint=solo * joint_share, p_2_solo=0.5, p_2_joint=0.25)
+    mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
+    chain2d = build_2d_action_chain(QueueParams(lam, mu1, d), q2, sp, q1)
+    got = verify_lumpability(chain2d, action_partition(d))
+    want = chain_oracle.verify_lumpability(chain2d, action_partition(d))
+    assert got.lumpable and want.lumpable
+    assert got.max_deviation == want.max_deviation
+    assert np.array_equal(got.lumped.entries, want.lumped.entries)

@@ -106,6 +106,25 @@ def test_stationary_distribution_validates():
         StationaryDistribution([-0.1, 1.1])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[np.nan, 1.0], [0.5, 0.5]],
+        [[0.5, 0.5], [np.nan, np.nan]],
+        [[np.inf, 0.0], [0.5, 0.5]],
+    ],
+)
+def test_matrix_rejects_nan_and_inf(entries):
+    with pytest.raises(NotStochasticError, match="lie in"):
+        StochasticMatrix(entries)
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.nan, 0.5], []])
+def test_stationary_distribution_rejects_nan_and_empty(probs):
+    with pytest.raises(ConvergenceError):
+        StationaryDistribution(probs)
+
+
 @st.composite
 def patterns(draw, max_n=12):
     """Sparse transition patterns with every row given at least one edge.

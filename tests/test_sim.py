@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from aoi_access.aoi import AoiParams, aoi_pmf
@@ -5,11 +8,15 @@ from aoi_access.channel import SuccessProbs
 from aoi_access.errors import ParameterError
 from aoi_access.sim import (
     SimConfig,
+    compare_occupancy,
+    compare_transitions,
+    coupled_run,
     occupancy_vs_stationary,
     simulate,
     transition_frequency_check,
 )
 from aoi_access.system import analyze
+from aoi_access.validate import DEFAULT_GRID, cell_params
 
 from conftest import make_params
 
@@ -139,6 +146,35 @@ def test_occupancy_requires_coupled_mode():
         occupancy_vs_stationary(cfg)
     with pytest.raises(ParameterError):
         transition_frequency_check(cfg)
+    with pytest.raises(ParameterError):
+        coupled_run(cfg)
+
+
+def assert_same_fields(got, want):
+    assert type(got) is type(want)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize(
+    "params",
+    [cell_params(cell) for cell in DEFAULT_GRID]
+    + [make_params(arrival_prob=0.0), make_params(arrival_prob=0.4, deadline=1)],
+)
+def test_one_run_serves_both_checks(params):
+    cfg = SimConfig(params=params, slots=20_000, seed=19)
+    run = coupled_run(cfg)
+    occupancy = compare_occupancy(run)
+    transitions = compare_transitions(run, min_visits=500)
+    assert_same_fields(occupancy, occupancy_vs_stationary(cfg))
+    assert_same_fields(transitions, transition_frequency_check(cfg, min_visits=500))
+    # reading the run leaves it as it was
+    assert_same_fields(compare_occupancy(run), occupancy)
+    assert_same_fields(compare_transitions(run, min_visits=500), transitions)
 
 
 def test_transition_frequencies_reference_scenario():

@@ -1,0 +1,55 @@
+import pytest
+
+from aoi_access import sim
+from aoi_access.sim import SimConfig, occupancy_vs_stationary, transition_frequency_check
+from aoi_access.validate import DEFAULT_GRID, cell_params, run_validation
+
+SLOTS = 20_000
+SEED = 7
+
+
+@pytest.fixture(scope="module")
+def counted_validation():
+    """run_validation on the default grid, with every simulation it starts recorded."""
+    calls = []
+    run = sim._run
+
+    def counting_run(cfg, *args, **kwargs):
+        calls.append(cfg)
+        return run(cfg, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_run", counting_run)
+        _, verdict = run_validation(slots=SLOTS, seed=SEED)
+    return calls, {c["name"]: c["details"] for c in verdict["checks"]}
+
+
+def test_each_cell_is_simulated_once_per_mode(counted_validation):
+    calls, _ = counted_validation
+    cells = len(DEFAULT_GRID)
+    assert len(calls) == 2 * cells
+    assert [(c.mode, c.seed) for c in calls if c.mode == "decoupled"] == [
+        ("decoupled", SEED + i) for i in range(cells)
+    ]
+    assert [(c.mode, c.seed) for c in calls if c.mode == "coupled"] == [
+        ("coupled", SEED + 1000 + i) for i in range(cells)
+    ]
+
+
+def test_dtmc_check_seeds_replay_with_single_check_functions(counted_validation):
+    _, details = counted_validation
+    occupancy = details["occupancy_vs_stationary"]
+    transitions = details["transition_frequencies"]
+    assert occupancy["seeds"] == transitions["seeds"] == [
+        SEED + 1000 + i for i in range(len(DEFAULT_GRID))
+    ]
+    deviations = []
+    insufficient = []
+    for cell, seed in zip(DEFAULT_GRID, occupancy["seeds"]):
+        cfg = SimConfig(params=cell_params(cell), slots=SLOTS, seed=seed)
+        deviations.append(occupancy_vs_stationary(cfg).max_abs_deviation)
+        check = transition_frequency_check(cfg, min_visits=transitions["min_visits"])
+        if check.insufficient_states:
+            insufficient.append({"cell": cell, "states": list(check.insufficient_states)})
+    assert occupancy["worst"] == max(deviations)
+    assert transitions["insufficient"] == insufficient
