@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SuccessProbs
 from .errors import ParameterError, PartitionError
 from .markov import StationaryDistribution, StochasticMatrix, stationary
 
@@ -102,7 +101,7 @@ def queue_metrics(p: QueueParams) -> QueueMetrics:
 
 
 def build_2d_action_chain(
-    p: QueueParams, q2: float, sp: SuccessProbs, q1: float
+    silent: StochasticMatrix, active: StochasticMatrix, q2: float
 ) -> StochasticMatrix:
     """Joint chain over (other-user action, head-of-line age).
 
@@ -110,24 +109,13 @@ def build_2d_action_chain(
     waiting time y. The action driving a transition is the one drawn for
     the slot in which that transition happens, i.e. the action coordinate
     of the DESTINATION state; the origin's action is last slot's and no
-    longer matters. Service is q1*p_1_joint under interference and
-    q1*p_1_solo without.
+    longer matters. The interferer transmits with probability q2; silent
+    and active are user 1's waiting-time matrices without and under
+    interference, with service q1*p_1_solo and q1*p_1_joint.
     """
-    _check_prob("q1", q1)
     _check_prob("q2", q2)
-    d = p.deadline
-    n = d + 1
-    t_silent = build_waiting_time_matrix(
-        QueueParams(p.arrival_prob, q1 * sp.p_1_solo, d)
-    ).entries
-    t_active = build_waiting_time_matrix(
-        QueueParams(p.arrival_prob, q1 * sp.p_1_joint, d)
-    ).entries
-    m = np.zeros((2 * n, 2 * n))
-    for x in (0, 1):
-        m[x * n : (x + 1) * n, 0:n] = (1.0 - q2) * t_silent
-        m[x * n : (x + 1) * n, n : 2 * n] = q2 * t_active
-    return StochasticMatrix(m)
+    row = np.hstack(((1.0 - q2) * silent.entries, q2 * active.entries))
+    return StochasticMatrix(np.vstack((row, row)))
 
 
 def action_partition(deadline: int) -> list[list[int]]:

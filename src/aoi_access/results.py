@@ -249,18 +249,16 @@ def _json_parse(name: str, value):
 
 
 def write_json(path: str | Path, rows: list[dict]) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "rows": [
-            {name: _json_value(name, row[name]) for name in COLUMN_NAMES} for row in rows
-        ],
-    }
+    """{"schema_version": ..., "rows": [...]} with one row per line.
 
-    def emit(fh):
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-    _atomic_write(Path(path), emit)
+    Each row goes through json.dumps without indent, which takes the C
+    encoder; json.dump and any indent take the pure-Python one.
+    """
+    lines = ",\n".join(
+        json.dumps({name: _json_value(name, row[name]) for name in COLUMN_NAMES}) for row in rows
+    )
+    doc = f'{{"schema_version": {SCHEMA_VERSION}, "rows": [\n{lines}\n]}}\n'
+    _atomic_write(Path(path), lambda fh: fh.write(doc))
 
 
 def read_json(path: str | Path) -> list[dict]:

@@ -2,16 +2,33 @@
 
 Coupled mode plays out the ground-truth packet dynamics: user 2's update
 outcome depends on whether user 1 actually transmitted in the same slot.
-Decoupled mode keeps user 1's dynamics identical but drives user 2's
-update successes from an i.i.d. Bernoulli stream with the closed-form
-per-slot probability, which is exactly the independence assumption the
+Decoupled mode keeps user 1's success probability but drives user 2's
+update successes independently of it, with the closed-form per-slot
+probability mu2, which is exactly the independence assumption the
 analytical age results rest on.
 
-Each replication is an independent deterministic run seeded with
-seed + replication index. It draws the same seven per-slot Bernoulli
-streams as a slot-by-slot loop would (tests/slot_oracle.py keeps that
-loop as the reference) and returns identical tallies, but computes them
-with array operations. User 1's success in a slot does not depend on its
+Replication r of a run seeded s is seeded with SeedSequence([s, r]),
+which spawns two streams: the arrival stream and the channel stream.
+Each gives one uniform u per slot. A slot has an arrival when its
+arrival u < lambda. Its channel u yields user 1's success were it busy,
+and user 2's success while user 1 is busy and while it is idle, from a
+fixed layout of intervals:
+
+- busy: [0, p10) user 1 alone succeeds, [p10, p10 + p11) both do,
+  [p10 + p11, p10 + p11 + p01) user 2 alone does;
+- idle: [0, p2) user 2 succeeds.
+
+With p1s, p1j, p2s, p2j the solo and joint success probabilities, in
+coupled mode p11 = q1 q2 p1j p2j, p10 = q1 q2 p1j (1 - p2j) +
+q1 (1 - q2) p1s, p01 = q1 q2 (1 - p1j) p2j + (1 - q1) q2 p2s and
+p2 = q2 p2s. In decoupled mode user 1 succeeds with mu1 and user 2 with
+mu2, independently: p11 = mu1 mu2, p10 = mu1 (1 - mu2),
+p01 = (1 - mu1) mu2 and p2 = mu2. A slot reads either the busy pair or
+the idle bit, never both, so one u may serve the two.
+
+tests/slot_oracle.py plays the same draws out slot by slot as the
+reference; this module returns identical tallies but computes them with
+array operations. User 1's success in a slot does not depend on its
 queue, so FIFO order gives each packet's departure slot from the wait
 for user 1's next success. The departures are solved time-parallel over
 chunks of packets (Greenberg, Lubachevsky & Mitrani, "Algorithms for
@@ -137,25 +154,6 @@ def _pipeline(cfg: SimConfig) -> _Pipeline:
     return _Pipeline(sp=sp, mu1=mu1, mu2=mu2)
 
 
-def _pieces(rng: np.random.Generator, slots: int, prob: float):
-    """Bernoulli(prob) draws for every slot, _BLOCK slots at a time.
-
-    PCG64 yields the same doubles in pieces as in one rng.random(slots)
-    call, so the pieces joined equal rng.random(slots) < prob.
-    """
-    buf = np.empty(min(_BLOCK, slots))
-    for t0 in range(0, slots, _BLOCK):
-        u = rng.random(out=buf[: min(_BLOCK, slots - t0)])
-        yield slice(t0, t0 + len(u)), u < prob
-
-
-def _stream(rng: np.random.Generator, slots: int, prob: float) -> np.ndarray:
-    out = np.empty(slots, dtype=bool)
-    for s, hit in _pieces(rng, slots, prob):
-        out[s] = hit
-    return out
-
-
 def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
     """Departure slot of every packet, from the arrival slots a (n >= 1).
 
@@ -206,39 +204,43 @@ def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
 
 
 def _draw(cfg: SimConfig, pipe: _Pipeline, rep: int, idx) -> tuple[np.ndarray, ...]:
-    """The seven Bernoulli streams of one replication, folded as they are drawn.
+    """The arrival and channel streams of one replication, folded as they are drawn.
 
-    The streams come in the order of the reference slot loop: arrivals,
-    both users' access, user 1's solo and joint decoding, then user 2's
-    solo and joint decoding, or in decoupled mode its one success stream.
-    Returns the arrival slots followed by the slot count as a sentinel,
-    user 1's success in each slot were it busy, and user 2's success in
-    each slot while user 1 is idle and while it is busy.
+    The two streams are spawned from SeedSequence([seed, rep]) in that
+    order and read _BLOCK slots at a time, which yields the same doubles
+    as one rng.random(slots) call each. Returns the arrival slots followed
+    by the slot count as a sentinel, user 1's success in each slot were it
+    busy, and user 2's success in each slot while user 1 is idle and while
+    it is busy, from the interval layout in the module docstring.
     """
-    p = cfg.params
-    sp = pipe.sp
-    slots = cfg.slots
-    rng = np.random.default_rng(cfg.seed + rep)
-    arrivals = [
-        (np.flatnonzero(hit) + s.start).astype(idx)
-        for s, hit in _pieces(rng, slots, p.arrival_prob)
-    ]
-    arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
-    att1 = _stream(rng, slots, p.q1)
-    att2 = _stream(rng, slots, p.q2)
-    s1 = _stream(rng, slots, sp.p_1_solo)
-    s1 &= ~att2
-    for s, hit in _pieces(rng, slots, sp.p_1_joint):
-        s1[s] |= hit & att2[s]
-    s1 &= att1
+    p, sp, slots = cfg.params, pipe.sp, cfg.slots
     if cfg.mode == "decoupled":
-        s2_idle = s2_busy = _stream(rng, slots, pipe.mu2)
+        mu1, mu2 = pipe.mu1, pipe.mu2
+        p11, p10, p01, p2 = mu1 * mu2, mu1 * (1.0 - mu2), (1.0 - mu1) * mu2, mu2
     else:
-        s2_idle = _stream(rng, slots, sp.p_2_solo)
-        s2_idle &= att2
-        s2_busy = s2_idle & ~att1
-        for s, hit in _pieces(rng, slots, sp.p_2_joint):
-            s2_busy[s] |= hit & att1[s] & att2[s]
+        q1, q2 = p.q1, p.q2
+        p11 = q1 * q2 * sp.p_1_joint * sp.p_2_joint
+        p10 = q1 * q2 * sp.p_1_joint * (1.0 - sp.p_2_joint) + q1 * (1.0 - q2) * sp.p_1_solo
+        p01 = q1 * q2 * (1.0 - sp.p_1_joint) * sp.p_2_joint + (1.0 - q1) * q2 * sp.p_2_solo
+        p2 = q2 * sp.p_2_solo
+    arrival_rng, channel_rng = map(
+        np.random.default_rng, np.random.SeedSequence([cfg.seed, rep]).spawn(2)
+    )
+    s1, s2_idle, s2_busy = (np.empty(slots, dtype=bool) for _ in range(3))
+    u = np.empty(min(_BLOCK, slots))
+    arrivals = []
+    for t0 in range(0, slots, _BLOCK):
+        blk = slice(t0, min(t0 + _BLOCK, slots))
+        v = u[: blk.stop - t0]
+        arrival_rng.random(out=v)
+        arrivals.append((np.flatnonzero(v < p.arrival_prob) + t0).astype(idx))
+        channel_rng.random(out=v)
+        np.less(v, p10 + p11, out=s1[blk])
+        np.less(v, p2, out=s2_idle[blk])
+        # [p10, p10 + p11 + p01) is [0, p10 + p11 + p01) without [0, p10)
+        np.less(v, p10 + p11 + p01, out=s2_busy[blk])
+        s2_busy[blk] ^= v < p10
+    arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
     return arrivals, s1, s2_idle, s2_busy
 
 
@@ -279,7 +281,7 @@ def _slot_tallies(
     hist = np.zeros(0, dtype=np.int64)
     top = 0  # one past the oldest age seen
     aoi_sum = 0
-    last_s2 = -1  # user 2's last success before the block
+    after_s2 = 0  # one past user 2's last success before the block, 0 if none
     prev_state = -1
     for t0, lo, hi in zip(range(0, slots, _BLOCK), cuts, cuts[1:]):
         blk = slice(t0, min(t0 + _BLOCK, slots))
@@ -288,15 +290,18 @@ def _slot_tallies(
         head[e[lo:hi] + 1 - t0] = 1
         head[0] = lo
         np.cumsum(head, out=head)
-        arrived = a.take(head[:-1])
-        busy = arrived < t
-        state = np.where(busy, t - arrived, 0)
-        last = np.where(np.where(busy, s2_busy[blk], s2_idle[blk]), t, last_s2)
-        np.maximum.accumulate(last, out=last)
-        aoi = t.copy()
-        aoi[0] -= last_s2
-        aoi[1:] -= last[:-1]
-        last_s2 = int(last[-1])
+        # an idle queue's head (or the sentinel) arrives in slot t or later
+        state = t - a.take(head[:-1])
+        np.maximum(state, 0, out=state)
+        busy = state > 0
+        t += 1  # one past each slot from here, so that 0 stands for no success
+        after = t * ((busy & s2_busy[blk]) | (~busy & s2_idle[blk]))
+        after[0] = max(after[0], after_s2)
+        np.maximum.accumulate(after, out=after)
+        aoi = t
+        aoi[0] -= after_s2
+        aoi[1:] -= after[:-1]
+        after_s2 = int(after[-1])
 
         m0 = max(warmup - t0, 0)
         if m0 >= len(t):

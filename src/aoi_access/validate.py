@@ -157,14 +157,20 @@ def check_lumpability() -> CheckResult:
     for gamma_db in LUMP_GRID_GAMMA_DB:
         base = reference_params(gamma_db, 0.5, 0.5, 0.5, 1)
         sp = success_probs(base)
+        solo_joint = (sp.p_1_solo, sp.p_1_joint)
         for lam in LUMP_GRID_LAM:
             for q1 in LUMP_GRID_Q1:
+                # user 1's chains with user 2 silent and active do not depend on q2
+                sampled = {
+                    d: [build_waiting_time_matrix(QueueParams(lam, q1 * p, d)) for p in solo_joint]
+                    for d in LUMP_GRID_D
+                }
                 for q2 in LUMP_GRID_Q2:
                     mu1 = service_prob_user1(replace(base, q1=q1, q2=q2), sp)
                     for d in LUMP_GRID_D:
                         combos += 1
                         qp = QueueParams(lam, mu1, d)
-                        chain2d = build_2d_action_chain(qp, q2, sp, q1)
+                        chain2d = build_2d_action_chain(*sampled[d], q2)
                         rep = verify_lumpability(chain2d, action_partition(d))
                         direct = build_waiting_time_matrix(qp)
                         if not rep.lumpable:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from aoi_access.channel import LinkParams, ReceiverParams, db_to_linear
+from aoi_access.deadline_queue import QueueParams, build_2d_action_chain, build_waiting_time_matrix
 from aoi_access.system import SystemParams
 
 # symmetric radio setup used throughout: 5 mW at 30 m, path-loss 4,
@@ -36,6 +37,15 @@ def make_params(gamma_db=0.0, q1=0.5, q2=0.5, arrival_prob=0.5, deadline=3):
         q2=q2,
         arrival_prob=arrival_prob,
         deadline=deadline,
+    )
+
+
+def action_chain(lam, d, q2, sp, q1):
+    """The joint action chain of user 1 (attempt probability q1) under interferer q2."""
+    return build_2d_action_chain(
+        build_waiting_time_matrix(QueueParams(lam, q1 * sp.p_1_solo, d)),
+        build_waiting_time_matrix(QueueParams(lam, q1 * sp.p_1_joint, d)),
+        q2,
     )
 
 

@@ -1,13 +1,21 @@
 """Reference slot-by-slot simulator, kept as the oracle for aoi_access.sim.
 
-replicate() plays one replication forward one slot at a time from the
-same seeded draws as sim._replicate, and simulate() aggregates the
-replications exactly as sim.simulate does. The vectorised simulator must
-reproduce both bit for bit.
+replicate() plays one replication forward one slot at a time, and
+simulate() aggregates the replications exactly as sim.simulate does. The
+vectorised simulator must reproduce both bit for bit.
+
+The draws are the simulator's: replication r of seed s spawns an arrival
+stream and a channel stream from SeedSequence([s, r]), each one uniform
+per slot. The channel uniform is read through interval thresholds that
+this module derives on its own: in coupled mode by enumerating every
+access and decoding outcome of a slot in which both users may transmit,
+in decoupled mode from the independent success probabilities mu1 and
+mu2. See the sim module docstring for the layout.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -17,26 +25,51 @@ from aoi_access.sim import SimConfig, SimulationReport
 from aoi_access.system import DEFAULT_VIOLATION_THRESHOLDS
 
 
+def outcomes(q1: float, q2: float, sp) -> dict[tuple[int, int], float]:
+    """P(user 1 succeeds, user 2 succeeds) when they transmit with q1 and q2.
+
+    Sums over whether each user transmits and whether each transmission
+    is decoded; a user that stays silent is never decoded.
+    """
+    out = {(1, 1): 0.0, (1, 0): 0.0, (0, 1): 0.0, (0, 0): 0.0}
+    for tx1, tx2, win1, win2 in itertools.product((0, 1), repeat=4):
+        p_win1 = (sp.p_1_joint if tx2 else sp.p_1_solo) if tx1 else 0.0
+        p_win2 = (sp.p_2_joint if tx1 else sp.p_2_solo) if tx2 else 0.0
+        out[win1, win2] += (
+            (q1 if tx1 else 1.0 - q1)
+            * (q2 if tx2 else 1.0 - q2)
+            * (p_win1 if win1 else 1.0 - p_win1)
+            * (p_win2 if win2 else 1.0 - p_win2)
+        )
+    return out
+
+
+def thresholds(cfg: SimConfig, pipe) -> tuple[float, float, float, float]:
+    """p10, p11, p01 of a busy slot and user 2's success probability in an idle one."""
+    p, sp = cfg.params, pipe.sp
+    if cfg.mode == "decoupled":
+        mu1, mu2 = pipe.mu1, pipe.mu2
+        return mu1 * (1.0 - mu2), mu1 * mu2, (1.0 - mu1) * mu2, mu2
+    busy = outcomes(p.q1, p.q2, sp)
+    # with user 1 idle only user 2 may transmit
+    idle = outcomes(0.0, p.q2, sp)
+    return busy[1, 0], busy[1, 1], busy[0, 1], idle[0, 1]
+
+
 def replicate(cfg: SimConfig, pipe, rep: int) -> dict:
     """One seeded replication; returns raw post-warmup tallies."""
     p = cfg.params
-    sp = pipe.sp
     slots, warmup, d = cfg.slots, cfg.warmup_slots, p.deadline
-    decoupled = cfg.mode == "decoupled"
 
-    rng = np.random.default_rng(cfg.seed + rep)
-    arrive = (rng.random(slots) < p.arrival_prob).tobytes()
-    att1 = (rng.random(slots) < p.q1).tobytes()
-    att2 = (rng.random(slots) < p.q2).tobytes()
-    win1_solo = (rng.random(slots) < sp.p_1_solo).tobytes()
-    win1_joint = (rng.random(slots) < sp.p_1_joint).tobytes()
-    if decoupled:
-        win2_solo = win2_joint = b""
-        dec = (rng.random(slots) < pipe.mu2).tobytes()
-    else:
-        win2_solo = (rng.random(slots) < sp.p_2_solo).tobytes()
-        win2_joint = (rng.random(slots) < sp.p_2_joint).tobytes()
-        dec = b""
+    arrival_rng, channel_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence([cfg.seed, rep]).spawn(2)
+    )
+    arrive = (arrival_rng.random(slots) < p.arrival_prob).tobytes()
+    p10, p11, p01, p2 = thresholds(cfg, pipe)
+    u = channel_rng.random(slots)
+    win1_busy = (u < p10 + p11).tobytes()
+    win2_busy = ((p10 <= u) & (u < p10 + p11 + p01)).tobytes()
+    win2_idle = (u < p2).tobytes()
 
     queue: deque[int] = deque()
     occ = [0] * (d + 1)
@@ -66,13 +99,8 @@ def replicate(cfg: SimConfig, pipe, rep: int) -> dict:
             hist[aoi] += 1
             aoi_sum += aoi
 
-        tx1 = busy and att1[t]
-        tx2 = att2[t]
-        s1 = (win1_joint[t] if tx2 else win1_solo[t]) if tx1 else 0
-        if decoupled:
-            s2 = dec[t]
-        else:
-            s2 = (win2_joint[t] if tx1 else win2_solo[t]) if tx2 else 0
+        s1 = busy and win1_busy[t]
+        s2 = win2_busy[t] if busy else win2_idle[t]
 
         # age update, then early departure / drop, then late arrival
         aoi = 1 if s2 else aoi + 1

@@ -20,7 +20,6 @@ from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import (
     QueueParams,
     action_partition,
-    build_2d_action_chain,
     build_waiting_time_matrix,
     verify_lumpability,
 )
@@ -28,7 +27,7 @@ from aoi_access.markov import stationary
 from aoi_access.sim import SimConfig, occupancy_vs_stationary, simulate, transition_frequency_check
 from aoi_access.system import analyze, apply_axis, success_probs, sweep
 
-from conftest import make_params, scenario_doc
+from conftest import action_chain, make_params, scenario_doc
 from test_deadline_queue import reference_d3_matrix
 
 DECOUPLED_SLOTS = 1_000_000
@@ -156,7 +155,7 @@ def test_criterion_4_lumpability_grid():
                             mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
                             qp = QueueParams(lam, mu1, d)
                             rep = verify_lumpability(
-                                build_2d_action_chain(qp, q2, sp, q1),
+                                action_chain(lam, d, q2, sp, q1),
                                 action_partition(d),
                                 tol=1e-12,
                             )

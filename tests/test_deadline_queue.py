@@ -9,13 +9,14 @@ from aoi_access.channel import SuccessProbs
 from aoi_access.deadline_queue import (
     QueueParams,
     action_partition,
-    build_2d_action_chain,
     build_waiting_time_matrix,
     queue_metrics,
     verify_lumpability,
 )
 from aoi_access.errors import ParameterError, PartitionError
 from aoi_access.markov import StochasticMatrix, stationary
+
+from conftest import action_chain
 
 
 def reference_d3_matrix(lam, mu):
@@ -178,8 +179,7 @@ def test_invalid_queue_params():
 
 def test_action_chain_silent_sampler():
     sp = SuccessProbs(0.9, 0.6, 0.8, 0.5)
-    qp = QueueParams(0.5, 0.0, 3)
-    m = build_2d_action_chain(qp, 0.0, sp, 0.7).entries
+    m = action_chain(0.5, 3, 0.0, sp, 0.7).entries
     n = 4
     # active-action states unreachable, silent sub-block is the plain chain
     assert np.all(m[:, n:] == 0.0)
@@ -189,8 +189,7 @@ def test_action_chain_silent_sampler():
 
 def test_action_chain_persistent_sampler():
     sp = SuccessProbs(0.9, 0.6, 0.8, 0.5)
-    qp = QueueParams(0.5, 0.0, 3)
-    m = build_2d_action_chain(qp, 1.0, sp, 0.7).entries
+    m = action_chain(0.5, 3, 1.0, sp, 0.7).entries
     n = 4
     assert np.all(m[:, :n] == 0.0)
     active = build_waiting_time_matrix(QueueParams(0.5, 0.7 * 0.6, 3)).entries
@@ -207,7 +206,7 @@ def test_action_chain_lumps_onto_waiting_time_chain():
         d = int(rng.integers(1, 7))
         mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
         qp = QueueParams(lam, mu1, d)
-        report = verify_lumpability(build_2d_action_chain(qp, q2, sp, q1), action_partition(d))
+        report = verify_lumpability(action_chain(lam, d, q2, sp, q1), action_partition(d))
         assert report.lumpable
         direct = build_waiting_time_matrix(qp).entries
         assert np.max(np.abs(report.lumped.entries - direct)) <= 1e-12
@@ -316,8 +315,7 @@ def test_lumpability_matches_block_loop_oracle(case):
 )
 def test_action_partition_lumps_exactly_as_block_loop_oracle(lam, q1, q2, solo, joint_share, d):
     sp = SuccessProbs(p_1_solo=solo, p_1_joint=solo * joint_share, p_2_solo=0.5, p_2_joint=0.25)
-    mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
-    chain2d = build_2d_action_chain(QueueParams(lam, mu1, d), q2, sp, q1)
+    chain2d = action_chain(lam, d, q2, sp, q1)
     got = verify_lumpability(chain2d, action_partition(d))
     want = chain_oracle.verify_lumpability(chain2d, action_partition(d))
     assert got.lumpable and want.lumpable

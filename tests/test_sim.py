@@ -1,8 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from aoi_access import sim
 from aoi_access.aoi import AoiParams, aoi_pmf
 from aoi_access.channel import SuccessProbs
 from aoi_access.errors import ParameterError
@@ -33,6 +34,16 @@ def test_seed_changes_the_sample_path():
     a = simulate(SimConfig(params=base, slots=50_000, seed=1, mode="coupled"))
     b = simulate(SimConfig(params=base, slots=50_000, seed=2, mode="coupled"))
     assert a != b
+
+
+def test_replications_do_not_replay_the_next_seed():
+    params = make_params()
+    pair = SimConfig(params=params, slots=20_000, seed=11, replications=2)
+    pipe = sim._pipeline(pair)
+    second = sim._replicate(pair, pipe, 1)
+    next_seed = sim._replicate(replace(pair, seed=12, replications=1), pipe, 0)
+    assert second["aoi_sum"] != next_seed["aoi_sum"]
+    assert second["arrivals"] != next_seed["arrivals"]
 
 
 def test_counting_identity_exact():

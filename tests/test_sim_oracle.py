@@ -121,6 +121,47 @@ def test_long_horizon_matches_slot_oracle(params, mode):
     _assert_matches_oracle(SimConfig(params=params, slots=120_000, seed=77, mode=mode))
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "q1, q2, sp",
+    [
+        (0.5, 0.5, None),
+        (0.7, 0.3, SuccessProbs(0.8, 0.3, 0.6, 0.2)),
+        (0.6, 0.5, SuccessProbs(0.0, 0.0, 0.7, 0.0)),
+        (1.0, 0.4, SuccessProbs(1.0, 1.0, 1.0, 1.0)),
+        (1.0, 1.0, SuccessProbs(1.0, 1.0, 1.0, 1.0)),
+    ],
+)
+def test_channel_draws_follow_the_interval_layout(q1, q2, sp, mode):
+    cfg = SimConfig(
+        params=make_params(q1=q1, q2=q2),
+        slots=1_000_000,
+        seed=13,
+        mode=mode,
+        success_probs_override=sp,
+    )
+    pipe = sim._pipeline(cfg)
+    _, s1, s2_idle, s2_busy = sim._draw(cfg, pipe, 0, np.int32)
+    p10, p11, p01, p2 = slot_oracle.thresholds(cfg, pipe)
+    events = [
+        (s1 & s2_busy, p11),
+        (s1 & ~s2_busy, p10),
+        (~s1 & s2_busy, p01),
+        (s2_idle, p2),
+        (s1, p10 + p11),
+        (s2_busy, p11 + p01),
+    ]
+    n = cfg.slots
+    for drawn, prob in events:
+        hits = int(np.count_nonzero(drawn))
+        if prob == 0.0:
+            assert hits == 0
+        elif prob == 1.0:
+            assert hits == n
+        else:
+            assert abs(hits / n - prob) <= 5.0 * np.sqrt(prob * (1.0 - prob) / n), (hits, prob)
+
+
 def test_coupled_run_needs_no_chain_solve():
     # lam = mu = 1 makes every nonzero head-of-line age absorbing, so the
     # chain has no unique stationary vector; only decoupled draws need it
@@ -146,9 +187,9 @@ def test_long_deadline_coupled_run_matches_slot_oracle():
 
 
 def test_replication_memory_within_oracle_budget():
-    # The oracle's traced peak is its seven byte-per-slot streams plus the
-    # float64 draw of the last one: 15 bytes per slot, 7.2 MiB here.
-    # Tracing its slot loop directly takes many seconds.
+    # The budget is the traced peak of the slot loop that drew seven
+    # byte-per-slot streams, plus the float64 draw of the last one: 15
+    # bytes per slot, 7.2 MiB here. It stays at that figure.
     cfg = SimConfig(params=make_params(deadline=20), slots=500_000, seed=3)
     pipe = sim._pipeline(cfg)
     tracemalloc.start()

@@ -1,8 +1,17 @@
 import pytest
 
-from aoi_access import sim
+from aoi_access import deadline_queue, sim, validate
 from aoi_access.sim import SimConfig, occupancy_vs_stationary, transition_frequency_check
-from aoi_access.validate import DEFAULT_GRID, cell_params, run_validation
+from aoi_access.validate import (
+    DEFAULT_GRID,
+    LUMP_GRID_D,
+    LUMP_GRID_GAMMA_DB,
+    LUMP_GRID_LAM,
+    LUMP_GRID_Q1,
+    LUMP_GRID_Q2,
+    cell_params,
+    run_validation,
+)
 
 SLOTS = 20_000
 SEED = 7
@@ -53,3 +62,22 @@ def test_dtmc_check_seeds_replay_with_single_check_functions(counted_validation)
             insufficient.append({"cell": cell, "states": list(check.insufficient_states)})
     assert occupancy["worst"] == max(deviations)
     assert transitions["insufficient"] == insufficient
+
+
+def test_lumpability_builds_the_sampled_chains_once_per_q2_sweep(monkeypatch):
+    # user 1's silent and active chains do not depend on q2; only the
+    # direct chain, through mu1, does
+    builds = []
+    build = deadline_queue.build_waiting_time_matrix
+
+    def counting_build(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(deadline_queue, "build_waiting_time_matrix", counting_build)
+    monkeypatch.setattr(validate, "build_waiting_time_matrix", counting_build)
+    result = validate.check_lumpability()
+    combos = len(LUMP_GRID_GAMMA_DB) * len(LUMP_GRID_LAM) * len(LUMP_GRID_Q1) * len(LUMP_GRID_D)
+    assert result.passed
+    assert result.details["combinations"] == combos * len(LUMP_GRID_Q2)
+    assert len(builds) == combos * (2 + len(LUMP_GRID_Q2))
