@@ -2,94 +2,27 @@
 
 Closed-form performance analysis (drop rate, throughput, queue occupancy,
 age-of-information distribution) plus a seeded slot-level Monte Carlo
-simulator to validate it.
+simulator to validate it. The package exports what the command line's
+four commands rest on; everything else is reached through its module.
 """
 
-from .aoi import AoiParams, AoiReport, aoi_pmf, aoi_report, aoi_violation, average_aoi
-from .channel import (
-    LinkParams,
-    ReceiverParams,
-    SuccessProbs,
-    db_to_linear,
-    dbm_to_watts,
-    is_strong_mpr,
-    mpr_strength,
-    received_power_factor,
-    success_prob_joint,
-    success_prob_solo,
-    success_probs,
-)
-from .deadline_queue import (
-    LumpabilityReport,
-    QueueMetrics,
-    QueueParams,
-    action_partition,
-    build_2d_action_chain,
-    build_waiting_time_matrix,
-    queue_metrics,
-    verify_lumpability,
-)
-from .markov import (
-    StationaryDistribution,
-    StochasticMatrix,
-    stationary,
-    stationary_power_iteration,
-)
-from .sim import (
-    OccupancyComparison,
-    SimConfig,
-    SimulationReport,
-    TransitionCheck,
-    occupancy_vs_stationary,
-    simulate,
-    transition_frequency_check,
-)
-from .system import AnalyticalReport, SystemParams, analyze, service_prob_user1, service_prob_user2, sweep
+from .channel import LinkParams, ReceiverParams
+from .scenarios import load_scenario
+from .sim import SimConfig, simulate
+from .system import SystemParams, analyze, sweep
+from .validate import run_validation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticalReport",
-    "AoiParams",
-    "AoiReport",
     "LinkParams",
-    "LumpabilityReport",
-    "OccupancyComparison",
-    "QueueMetrics",
-    "QueueParams",
     "ReceiverParams",
     "SimConfig",
-    "SimulationReport",
-    "StationaryDistribution",
-    "StochasticMatrix",
-    "SuccessProbs",
     "SystemParams",
-    "TransitionCheck",
-    "action_partition",
     "analyze",
-    "aoi_pmf",
-    "aoi_report",
-    "aoi_violation",
-    "average_aoi",
-    "build_2d_action_chain",
-    "build_waiting_time_matrix",
-    "db_to_linear",
-    "dbm_to_watts",
-    "is_strong_mpr",
-    "mpr_strength",
-    "occupancy_vs_stationary",
-    "queue_metrics",
-    "received_power_factor",
-    "service_prob_user1",
-    "service_prob_user2",
+    "load_scenario",
+    "run_validation",
     "simulate",
-    "stationary",
-    "stationary_power_iteration",
-    "success_prob_joint",
-    "success_prob_solo",
-    "success_probs",
     "sweep",
-    "transition_frequency_check",
-    "verify_lumpability",
     "__version__",
 ]

@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
-from .markov import StochasticMatrix
 
 
 @dataclass(frozen=True)
@@ -53,40 +50,3 @@ def aoi_violation(p: AoiParams, x: int) -> float:
     if not isinstance(x, int) or x < 0:
         raise ParameterError(f"violation threshold must be an integer >= 0, got {x!r}")
     return (1.0 - p.update_success_prob) ** x
-
-
-@dataclass(frozen=True)
-class AoiReport:
-    """Average age plus callable pmf / violation curves for one mu2."""
-
-    params: AoiParams
-    average: float
-
-    def pmf(self, i: int) -> float:
-        return aoi_pmf(self.params, i)
-
-    def violation(self, x: int) -> float:
-        return aoi_violation(self.params, x)
-
-
-def aoi_report(p: AoiParams) -> AoiReport:
-    return AoiReport(params=p, average=average_aoi(p))
-
-
-def build_aoi_matrix_truncated(p: AoiParams, n: int) -> StochasticMatrix:
-    """First n states of the age chain, with ages >= n folded into state n-1.
-
-    Column 0 carries the reset probability mu2 from every state; the
-    superdiagonal carries 1 - mu2. The terminal state keeps 1 - mu2 as a
-    self-loop so rows stay stochastic; its stationary mass absorbs the
-    whole geometric tail while states below it keep the exact pmf.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError(f"truncation size must be an integer >= 2, got {n!r}")
-    mu = p.update_success_prob
-    m = np.zeros((n, n))
-    m[:, 0] = mu
-    for i in range(n - 1):
-        m[i, i + 1] = 1.0 - mu
-    m[n - 1, n - 1] += 1.0 - mu
-    return StochasticMatrix(m)

@@ -22,7 +22,7 @@ from .channel import linear_to_db
 from .errors import ParameterError, ScenarioError
 from .scenarios import Scenario, load_scenario
 from .sim import MODES, simulate
-from .system import SWEEP_AXES, analyze, apply_axis
+from .system import SWEEP_AXES, analyze, sweep
 from .validate import run_validation
 
 ENV_OUT_DIR = "AOI_ACCESS_OUT_DIR"
@@ -131,16 +131,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(text: str, axis: str) -> tuple:
+def _parse_values(text: str) -> list[float]:
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ParameterError(f"--values must be comma-separated numbers, got {text!r}")
-    if not values:
-        raise ParameterError("--values must contain at least one number")
-    if axis in ("d", "deadline"):
-        return tuple(int(v) for v in values)
-    return values
 
 
 def cmd_sweep(args) -> int:
@@ -148,23 +143,18 @@ def cmd_sweep(args) -> int:
     axis = args.axis or scenario.sweep_axis
     if axis is None:
         raise ParameterError("no sweep axis: pass --axis or put a sweep block in the scenario")
-    if axis not in SWEEP_AXES:
-        raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if args.values is not None:
-        values = _parse_values(args.values, axis)
+        values = _parse_values(args.values)
     elif scenario.sweep_values is not None:
         values = scenario.sweep_values
     else:
         raise ParameterError("no sweep values: pass --values or put them in the scenario")
 
     rows = []
-    for value in values:
-        params = apply_axis(scenario.params, axis, value)
-        report = analyze(params)
+    for value, report in zip(values, sweep(scenario.params, axis, values)):
         row = results.analytical_row(report, sweep_axis=axis, sweep_value=float(value))
         if args.with_sim:
-            cfg = scenario.sim.to_config(params)
-            row = results.attach_simulation(row, simulate(cfg))
+            row = results.attach_simulation(row, simulate(scenario.sim.to_config(report.params)))
         rows.append(row)
 
     base = _out_base(args.out, f"sweep_{axis}_{Path(args.scenario).stem}")

@@ -131,15 +131,13 @@ class LumpabilityReport:
     lumped: StochasticMatrix | None
 
 
-def verify_lumpability(
-    m: StochasticMatrix, partition: list[list[int]], tol: float = LUMP_TOL
-) -> LumpabilityReport:
+def verify_lumpability(m: StochasticMatrix, partition: list[list[int]]) -> LumpabilityReport:
     """Check the strong-lumpability condition of a partition numerically.
 
     The condition: within every block, all states must carry the same
-    total transition probability into each block. When it holds the
-    block-to-block sums define a Markov chain on the blocks, returned as
-    the lumped matrix.
+    total transition probability into each block, up to LUMP_TOL. When it
+    holds the block-to-block sums define a Markov chain on the blocks,
+    returned as the lumped matrix.
 
     The states are put in block order, so that every block is one run of
     rows and of columns and each reduction over blocks is one reduceat.
@@ -160,7 +158,7 @@ def verify_lumpability(
     # a sure jump can round to 1 + 2**-52; clip it so the lumped chain validates
     lumped = np.minimum(np.add.reduceat(block_sums, starts) / sizes[:, None], 1.0)
 
-    if max_dev > tol:
+    if max_dev > LUMP_TOL:
         return LumpabilityReport(lumpable=False, max_deviation=max_dev, lumped=None)
     return LumpabilityReport(
         lumpable=True, max_deviation=max_dev, lumped=StochasticMatrix(lumped)

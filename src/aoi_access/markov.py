@@ -2,9 +2,9 @@
 
 Dense chains of up to a few thousand states. The stationary solver
 checks the transition pattern for a unique closed class by numpy
-reachability and then makes one dense LU solve, O(n^3);
-stationary_power_iteration is an independent cross-check path kept
-deliberately separate from it.
+reachability and then makes one dense LU solve, O(n^3). It is the only
+solver in the package; the least-squares solve and power iteration it
+is checked against live in tests/chain_oracle.py.
 """
 
 from __future__ import annotations
@@ -143,31 +143,3 @@ def stationary(m: StochasticMatrix) -> StationaryDistribution:
     pi /= pi.sum()
     _check_residual(pi, m, "direct solve")
     return StationaryDistribution(pi)
-
-
-def stationary_power_iteration(
-    m: StochasticMatrix, steps: int = 10_000, tol: float = 1e-13
-) -> StationaryDistribution:
-    """Independent stationary-distribution oracle by repeated left-multiplication.
-
-    Starts from a uniform vector with a tiny index-proportional tilt: a
-    perfectly uniform start sits exactly on the fixed point of symmetric
-    periodic chains and would masquerade as converged; the tilt makes
-    periodic chains oscillate forever and fail loudly instead.
-    """
-    n = m.n
-    v = 1.0 + 1e-6 * np.arange(n) / max(n - 1, 1)
-    v /= v.sum()
-    diff = float("inf")
-    for _ in range(steps):
-        nxt = v @ m.entries
-        nxt /= nxt.sum()
-        diff = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if diff < tol:
-            _check_residual(v, m, "power iteration")
-            return StationaryDistribution(v)
-    raise ConvergenceError(
-        f"power iteration did not converge within {steps} steps (last diff {diff:g}); "
-        "the chain may be periodic"
-    )

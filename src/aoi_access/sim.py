@@ -48,7 +48,7 @@ from . import channel, system
 from .channel import SuccessProbs
 from .deadline_queue import QueueParams, build_waiting_time_matrix, queue_metrics
 from .errors import ParameterError
-from .system import DEFAULT_VIOLATION_THRESHOLDS, SystemParams
+from .system import VIOLATION_THRESHOLDS, SystemParams
 
 MODES = ("coupled", "decoupled")
 
@@ -63,12 +63,17 @@ _BLOCK = 1 << 14
 _Z95 = 1.959963984540054
 
 
+def default_warmup(slots: int) -> int:
+    """The warm-up of a SimConfig that sets none: 10% of the horizon."""
+    return slots // 10
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request; identical configs give bit-identical reports.
 
-    warmup_slots=None means 10% of the horizon, enough for every chain in
-    scope; raise it for stress cases near saturation. slots counts the
+    warmup_slots=None means default_warmup(slots), enough for every chain
+    in scope; raise it for stress cases near saturation. slots counts the
     horizon of EACH replication.
     """
 
@@ -86,7 +91,7 @@ class SimConfig:
         if not isinstance(self.slots, int) or self.slots < 1:
             raise ParameterError(f"slots must be a positive integer, got {self.slots!r}")
         if self.warmup_slots is None:
-            object.__setattr__(self, "warmup_slots", self.slots // 10)
+            object.__setattr__(self, "warmup_slots", default_warmup(self.slots))
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
             raise ParameterError(f"warmup_slots must be >= 0, got {self.warmup_slots!r}")
         if self.slots <= self.warmup_slots:
@@ -127,31 +132,29 @@ class SimulationReport:
     counts: dict[str, int]
 
 
-@dataclass(frozen=True, eq=False)
-class _Pipeline:
-    """The analytic inputs of a run; mu2 is set in decoupled mode only."""
+def _layout(cfg: SimConfig) -> tuple[float, tuple[float, float, float, float]]:
+    """mu1 and the bounds p10, p10 + p11, p10 + p11 + p01 and p2 of the channel layout.
 
-    sp: SuccessProbs
-    mu1: float
-    mu2: float | None
-
-
-def _pipeline(cfg: SimConfig) -> _Pipeline:
-    """Success probabilities and mu1; decoupled mode also solves the chain for mu2.
-
-    Coupled draws need only the success probabilities, so a coupled run
-    simulates wherever the chain solve would fail.
+    Only decoupled mode solves the chain, for mu2: coupled draws need
+    only the success probabilities, so a coupled run simulates wherever
+    the chain solve would fail.
     """
     p = cfg.params
     sp = cfg.success_probs_override
     if sp is None:
         sp = channel.success_probs(p.link1, p.link2, p.rx)
-    mu1 = system.service_prob_user1(p, sp)
-    mu2 = None
+    _, mu1 = system.user1_service(p, sp)
     if cfg.mode == "decoupled":
         busy = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline)).busy_prob
-        mu2 = system.service_prob_user2(p, sp, busy)
-    return _Pipeline(sp=sp, mu1=mu1, mu2=mu2)
+        _, mu2 = system.user2_service(p, sp, busy)
+        p11, p10, p01, p2 = mu1 * mu2, mu1 * (1.0 - mu2), (1.0 - mu1) * mu2, mu2
+    else:
+        q1, q2 = p.q1, p.q2
+        p11 = q1 * q2 * sp.p_1_joint * sp.p_2_joint
+        p10 = q1 * q2 * sp.p_1_joint * (1.0 - sp.p_2_joint) + q1 * (1.0 - q2) * sp.p_1_solo
+        p01 = q1 * q2 * (1.0 - sp.p_1_joint) * sp.p_2_joint + (1.0 - q1) * q2 * sp.p_2_solo
+        p2 = q2 * sp.p_2_solo
+    return mu1, (p10, p10 + p11, p10 + p11 + p01, p2)
 
 
 def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
@@ -203,7 +206,7 @@ def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
     return dep.reshape(-1)[:n]
 
 
-def _draw(cfg: SimConfig, pipe: _Pipeline, rep: int, idx) -> tuple[np.ndarray, ...]:
+def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx) -> tuple[np.ndarray, ...]:
     """The arrival and channel streams of one replication, folded as they are drawn.
 
     The two streams are spawned from SeedSequence([seed, rep]) in that
@@ -211,18 +214,10 @@ def _draw(cfg: SimConfig, pipe: _Pipeline, rep: int, idx) -> tuple[np.ndarray, .
     as one rng.random(slots) call each. Returns the arrival slots followed
     by the slot count as a sentinel, user 1's success in each slot were it
     busy, and user 2's success in each slot while user 1 is idle and while
-    it is busy, from the interval layout in the module docstring.
+    it is busy, from _layout's bounds.
     """
-    p, sp, slots = cfg.params, pipe.sp, cfg.slots
-    if cfg.mode == "decoupled":
-        mu1, mu2 = pipe.mu1, pipe.mu2
-        p11, p10, p01, p2 = mu1 * mu2, mu1 * (1.0 - mu2), (1.0 - mu1) * mu2, mu2
-    else:
-        q1, q2 = p.q1, p.q2
-        p11 = q1 * q2 * sp.p_1_joint * sp.p_2_joint
-        p10 = q1 * q2 * sp.p_1_joint * (1.0 - sp.p_2_joint) + q1 * (1.0 - q2) * sp.p_1_solo
-        p01 = q1 * q2 * (1.0 - sp.p_1_joint) * sp.p_2_joint + (1.0 - q1) * q2 * sp.p_2_solo
-        p2 = q2 * sp.p_2_solo
+    lam, slots = cfg.params.arrival_prob, cfg.slots
+    p10, user1_end, user2_busy_end, user2_idle_end = bounds
     arrival_rng, channel_rng = map(
         np.random.default_rng, np.random.SeedSequence([cfg.seed, rep]).spawn(2)
     )
@@ -233,12 +228,12 @@ def _draw(cfg: SimConfig, pipe: _Pipeline, rep: int, idx) -> tuple[np.ndarray, .
         blk = slice(t0, min(t0 + _BLOCK, slots))
         v = u[: blk.stop - t0]
         arrival_rng.random(out=v)
-        arrivals.append((np.flatnonzero(v < p.arrival_prob) + t0).astype(idx))
+        arrivals.append((np.flatnonzero(v < lam) + t0).astype(idx))
         channel_rng.random(out=v)
-        np.less(v, p10 + p11, out=s1[blk])
-        np.less(v, p2, out=s2_idle[blk])
+        np.less(v, user1_end, out=s1[blk])
+        np.less(v, user2_idle_end, out=s2_idle[blk])
         # [p10, p10 + p11 + p01) is [0, p10 + p11 + p01) without [0, p10)
-        np.less(v, p10 + p11 + p01, out=s2_busy[blk])
+        np.less(v, user2_busy_end, out=s2_busy[blk])
         s2_busy[blk] ^= v < p10
     arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
     return arrivals, s1, s2_idle, s2_busy
@@ -328,11 +323,11 @@ def _slot_tallies(
     }
 
 
-def _replicate(cfg: SimConfig, pipe: _Pipeline, rep: int) -> dict:
+def _replicate(cfg: SimConfig, bounds: tuple[float, ...], rep: int) -> dict:
     """One seeded replication; returns raw post-warmup tallies."""
     slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
     idx = np.int32 if slots + d < np.iinfo(np.int32).max else np.int64
-    a, s1, s2_idle, s2_busy = _draw(cfg, pipe, rep, idx)
+    a, s1, s2_idle, s2_busy = _draw(cfg, bounds, rep, idx)
     n = len(a) - 1
     wait = _wait_table(s1, d)
     del s1
@@ -363,11 +358,9 @@ def _ci(values: list[float], replications: int) -> float:
     return _Z95 * float(np.std(values, ddof=1)) / math.sqrt(replications)
 
 
-def _run(
-    cfg: SimConfig, violation_thresholds: tuple[int, ...]
-) -> tuple[SimulationReport, _Pipeline, np.ndarray]:
-    pipe = _pipeline(cfg)
-    reps = [_replicate(cfg, pipe, r) for r in range(cfg.replications)]
+def _run(cfg: SimConfig) -> tuple[SimulationReport, float, np.ndarray]:
+    mu1, bounds = _layout(cfg)
+    reps = [_replicate(cfg, bounds, r) for r in range(cfg.replications)]
     measured = cfg.slots - cfg.warmup_slots
     n_rep = cfg.replications
 
@@ -385,7 +378,7 @@ def _run(
         ],
         "aoi_average": [r["aoi_sum"] / measured for r in reps],
     }
-    for x in violation_thresholds:
+    for x in VIOLATION_THRESHOLDS:
         # every measured slot has one age, so those above x are the rest
         per_rep[f"aoi_violation_{x}"] = [
             (measured - int(c)) / measured for c in hists[:, : x + 1].sum(axis=1)
@@ -421,20 +414,18 @@ def _run(
         busy_prob=means["busy_prob"],
         per_packet_drop_prob=means["per_packet_drop_prob"],
         aoi_average=means["aoi_average"],
-        aoi_violation={x: means[f"aoi_violation_{x}"] for x in violation_thresholds},
+        aoi_violation={x: means[f"aoi_violation_{x}"] for x in VIOLATION_THRESHOLDS},
         aoi_histogram=histogram,
         waiting_time_occupancy=occupancy,
         ci_halfwidth=ci,
         counts=counts,
     )
-    return report, pipe, trans_total
+    return report, mu1, trans_total
 
 
-def simulate(
-    cfg: SimConfig, violation_thresholds: tuple[int, ...] = DEFAULT_VIOLATION_THRESHOLDS
-) -> SimulationReport:
+def simulate(cfg: SimConfig) -> SimulationReport:
     """Run every replication and aggregate the empirical metrics."""
-    report, _, _ = _run(cfg, violation_thresholds)
+    report, _, _ = _run(cfg)
     return report
 
 
@@ -456,8 +447,8 @@ def coupled_run(cfg: SimConfig) -> CoupledRun:
     """Simulate cfg once for compare_occupancy and compare_transitions."""
     if cfg.mode != "coupled":
         raise ParameterError("occupancy and transition checks are defined for coupled mode")
-    report, pipe, trans = _run(cfg, DEFAULT_VIOLATION_THRESHOLDS)
-    return CoupledRun(cfg=cfg, report=report, mu1=pipe.mu1, transitions=trans)
+    report, mu1, trans = _run(cfg)
+    return CoupledRun(cfg=cfg, report=report, mu1=mu1, transitions=trans)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,8 @@ The evaluation order is a feed-forward chain with no fixed point: user
 1's service probability depends only on the channel and the sampling
 probability, the queue solution then gives the busy probability that
 shapes user 2's service, and the age metrics follow from that.
+user1_service and user2_service hold the chain's only formulas for p1,
+mu1, p2 and mu2; analyze and the simulator both call them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .channel import LinkParams, ReceiverParams, SuccessProbs
 from .deadline_queue import QueueMetrics, QueueParams, _check_prob, queue_metrics
 from .errors import ParameterError
 
-DEFAULT_VIOLATION_THRESHOLDS = tuple(range(1, 11))
+# the ages x at which every report gives P(A > x)
+VIOLATION_THRESHOLDS = tuple(range(1, 11))
 
 SWEEP_AXES = ("q1", "q2", "lambda", "d", "gamma", "gamma_db")
 
@@ -68,42 +71,43 @@ class AnalyticalReport:
     aoi_violation: dict[int, float]
 
 
-def success_probs(params: SystemParams) -> SuccessProbs:
-    return channel.success_probs(params.link1, params.link2, params.rx)
+def user1_service(params: SystemParams, sp: SuccessProbs) -> tuple[float, float]:
+    """User 1's per-attempt success p1 and per-slot service probability mu1.
 
-
-def service_prob_user1(params: SystemParams, sp: SuccessProbs) -> float:
-    """Per-slot delivery probability of user 1's head packet.
-
-    User 2 samples fresh updates every slot regardless of any queue, so
-    this depends on q2 but not on the arrival process or deadline.
+    This is the one definition of both: p1 = (1 - q2) p1s + q2 p1j and
+    mu1 = q1 p1. User 2 samples fresh updates every slot regardless of
+    any queue, so they depend on q2 but not on the arrivals or deadline.
     """
-    return params.q1 * ((1.0 - params.q2) * sp.p_1_solo + params.q2 * sp.p_1_joint)
+    p1 = (1.0 - params.q2) * sp.p_1_solo + params.q2 * sp.p_1_joint
+    return p1, params.q1 * p1
 
 
-def service_prob_user2(params: SystemParams, sp: SuccessProbs, busy_prob: float) -> float:
-    """Per-slot delivery probability of user 2's updates.
+def user2_service(
+    params: SystemParams, sp: SuccessProbs, busy_prob: float
+) -> tuple[float, float]:
+    """User 2's per-attempt success p2 and per-slot update success mu2.
 
-    User 1 interferes only when it is both busy and granted access, which
-    happens with probability q1 * busy_prob in steady state.
+    This is the one definition of both: p2 = (1 - q1 beta) p2s +
+    q1 beta p2j and mu2 = q2 p2, where beta is user 1's busy
+    probability. User 1 interferes only when it is both busy and
+    granted access.
     """
     _check_prob("busy_prob", busy_prob)
     active = params.q1 * busy_prob
-    return params.q2 * ((1.0 - active) * sp.p_2_solo + active * sp.p_2_joint)
-
-
-def analyze(
-    params: SystemParams,
-    violation_thresholds: tuple[int, ...] = DEFAULT_VIOLATION_THRESHOLDS,
-) -> AnalyticalReport:
-    """Run the full closed-form pipeline and collect every output."""
-    sp = success_probs(params)
-    p1 = (1.0 - params.q2) * sp.p_1_solo + params.q2 * sp.p_1_joint
-    mu1 = params.q1 * p1
-    queue = queue_metrics(QueueParams(params.arrival_prob, mu1, params.deadline))
-    active = params.q1 * queue.busy_prob
     p2 = (1.0 - active) * sp.p_2_solo + active * sp.p_2_joint
-    mu2 = params.q2 * p2
+    return p2, params.q2 * p2
+
+
+def analyze(params: SystemParams) -> AnalyticalReport:
+    """Run the full closed-form pipeline and collect every output.
+
+    p1 and mu1 come from user1_service, the queue from mu1, and p2 and
+    mu2 from user2_service at the queue's busy probability.
+    """
+    sp = channel.success_probs(params.link1, params.link2, params.rx)
+    p1, mu1 = user1_service(params, sp)
+    queue = queue_metrics(QueueParams(params.arrival_prob, mu1, params.deadline))
+    p2, mu2 = user2_service(params, sp, queue.busy_prob)
     delta = channel.mpr_strength(sp) if sp.p_1_solo > 0.0 and sp.p_2_solo > 0.0 else None
     aoi_params = AoiParams(mu2)
     return AnalyticalReport(
@@ -117,7 +121,7 @@ def analyze(
         mpr_strong=None if delta is None else channel.is_strong_mpr(delta),
         queue=queue,
         aoi_average=average_aoi(aoi_params),
-        aoi_violation={x: aoi_violation(aoi_params, x) for x in violation_thresholds},
+        aoi_violation={x: aoi_violation(aoi_params, x) for x in VIOLATION_THRESHOLDS},
     )
 
 
@@ -130,10 +134,9 @@ def apply_axis(base: SystemParams, axis: str, value) -> SystemParams:
     if axis in ("lambda", "arrival_prob"):
         return replace(base, arrival_prob=float(value))
     if axis in ("d", "deadline"):
-        iv = int(value)
-        if iv != value:
+        if not float(value).is_integer():
             raise ParameterError(f"deadline sweep values must be integers, got {value!r}")
-        return replace(base, deadline=iv)
+        return replace(base, deadline=int(value))
     if axis in ("gamma", "gamma_db"):
         g = channel.db_to_linear(float(value)) if axis == "gamma_db" else float(value)
         if g <= 0:
@@ -146,14 +149,9 @@ def apply_axis(base: SystemParams, axis: str, value) -> SystemParams:
     raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def sweep(
-    base: SystemParams,
-    axis: str,
-    values,
-    violation_thresholds: tuple[int, ...] = DEFAULT_VIOLATION_THRESHOLDS,
-) -> list[AnalyticalReport]:
+def sweep(base: SystemParams, axis: str, values) -> list[AnalyticalReport]:
     """Analyze one report per value, in input order."""
     values = list(values)
     if not values:
-        raise ParameterError("sweep requires at least one value")
-    return [analyze(apply_axis(base, axis, v), violation_thresholds) for v in values]
+        raise ParameterError("sweep values must not be empty")
+    return [analyze(apply_axis(base, axis, v)) for v in values]

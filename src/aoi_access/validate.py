@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import LinkParams, ReceiverParams, db_to_linear
+from .channel import LinkParams, ReceiverParams, db_to_linear, success_probs
 from .deadline_queue import (
     QueueParams,
     action_partition,
@@ -27,6 +27,7 @@ from .deadline_queue import (
     build_waiting_time_matrix,
     verify_lumpability,
 )
+from .errors import ParameterError
 from .markov import stationary
 from .sim import (
     DEFAULT_MIN_VISITS,
@@ -35,9 +36,10 @@ from .sim import (
     compare_occupancy,
     compare_transitions,
     coupled_run,
+    default_warmup,
     simulate,
 )
-from .system import AnalyticalReport, SystemParams, analyze, service_prob_user1, success_probs
+from .system import AnalyticalReport, SystemParams, analyze, user1_service
 
 # symmetric reference radio setup: 5 mW at 30 m, path-loss exponent 4,
 # unit-mean fading, -100 dBm receiver noise
@@ -64,18 +66,14 @@ SIM_METRICS = ("drop_rate", "busy_prob", "throughput", "aoi_average")
 SIM_VIOLATION_X = (1, 5, 10)
 
 
-def reference_link(gamma_db: float) -> LinkParams:
-    return LinkParams(
+def reference_params(gamma_db: float, q1: float, q2: float, lam: float, d: int) -> SystemParams:
+    """The reference radio setup with both thresholds at gamma_db, and the given access knobs."""
+    link = LinkParams(
         tx_power=REFERENCE_TX_POWER_W,
         distance=REFERENCE_DISTANCE_M,
         path_loss_exp=REFERENCE_PATH_LOSS_EXP,
-        fading_scale=1.0,
         sinr_threshold=db_to_linear(gamma_db),
     )
-
-
-def reference_params(gamma_db: float, q1: float, q2: float, lam: float, d: int) -> SystemParams:
-    link = reference_link(gamma_db)
     return SystemParams(
         link1=link,
         link2=link,
@@ -103,9 +101,12 @@ def _within(sim_value: float, ana_value: float, rel: float, abs_: float) -> bool
 
 
 def check_analytical_vs_decoupled(
-    grid, slots: int, seed: int, tweak: Callable[[AnalyticalReport], AnalyticalReport] | None
+    grid,
+    slots: int,
+    seed: int,
+    scale: float,
+    tweak: Callable[[AnalyticalReport], AnalyticalReport] | None,
 ) -> CheckResult:
-    scale = math.sqrt(1_000_000 / slots)
     rel_tol = 0.01 * scale
     abs_tol = 0.005 * scale
     worst = {"cell": None, "metric": None, "gap": 0.0}
@@ -156,17 +157,18 @@ def check_lumpability() -> CheckResult:
     failures = []
     for gamma_db in LUMP_GRID_GAMMA_DB:
         base = reference_params(gamma_db, 0.5, 0.5, 0.5, 1)
-        sp = success_probs(base)
-        solo_joint = (sp.p_1_solo, sp.p_1_joint)
+        sp = success_probs(base.link1, base.link2, base.rx)
         for lam in LUMP_GRID_LAM:
             for q1 in LUMP_GRID_Q1:
-                # user 1's chains with user 2 silent and active do not depend on q2
+                # user 1's chains with user 2 silent and active are its chains
+                # at q2 = 0 and q2 = 1, so they do not depend on the grid's q2
+                mus = [user1_service(replace(base, q1=q1, q2=x), sp)[1] for x in (0.0, 1.0)]
                 sampled = {
-                    d: [build_waiting_time_matrix(QueueParams(lam, q1 * p, d)) for p in solo_joint]
+                    d: [build_waiting_time_matrix(QueueParams(lam, mu, d)) for mu in mus]
                     for d in LUMP_GRID_D
                 }
                 for q2 in LUMP_GRID_Q2:
-                    mu1 = service_prob_user1(replace(base, q1=q1, q2=q2), sp)
+                    _, mu1 = user1_service(replace(base, q1=q1, q2=q2), sp)
                     for d in LUMP_GRID_D:
                         combos += 1
                         qp = QueueParams(lam, mu1, d)
@@ -208,8 +210,7 @@ def check_lumpability() -> CheckResult:
     )
 
 
-def check_occupancy(grid, runs: list[CoupledRun], slots: int) -> CheckResult:
-    scale = math.sqrt(1_000_000 / slots)
+def check_occupancy(grid, runs: list[CoupledRun], slots: int, scale: float) -> CheckResult:
     tol = 0.005 * scale
     worst = 0.0
     failures = []
@@ -234,7 +235,7 @@ def check_occupancy(grid, runs: list[CoupledRun], slots: int) -> CheckResult:
 
 
 def check_transitions(grid, runs: list[CoupledRun], slots: int) -> CheckResult:
-    measured = slots - slots // 10
+    measured = slots - default_warmup(slots)
     min_visits = min(DEFAULT_MIN_VISITS, max(100, measured // 20))
     failures = []
     insufficient = []
@@ -266,8 +267,11 @@ def run_validation(
     analytical_tweak: Callable[[AnalyticalReport], AnalyticalReport] | None = None,
 ) -> tuple[bool, dict]:
     """Run every check family; returns (all_passed, verdict document)."""
+    if not isinstance(slots, int) or slots < 1:
+        raise ParameterError(f"slots must be a positive integer, got {slots!r}")
+    scale = math.sqrt(1_000_000 / slots)
     checks = [
-        check_analytical_vs_decoupled(grid, slots, seed, analytical_tweak),
+        check_analytical_vs_decoupled(grid, slots, seed, scale, analytical_tweak),
         check_lumpability(),
     ]
     # the occupancy and transition checks read one coupled run per cell
@@ -276,7 +280,7 @@ def run_validation(
         for i, cell in enumerate(grid)
     ]
     checks += [
-        check_occupancy(grid, runs, slots),
+        check_occupancy(grid, runs, slots, scale),
         check_transitions(grid, runs, slots),
     ]
     passed = all(c.passed for c in checks)

@@ -3,17 +3,21 @@
 build_waiting_time_matrix() fills the matrix one entry at a time.
 stationary() is a least-squares solve of P^T - I with the normalisation
 row appended, guarded by a closed-class count taken from a brute-force
-transitive closure. verify_lumpability() loops over the blocks of the
-partition. The library's slice-filled build, square LU solve,
-reachability test and reduceat lumpability check must agree with them.
+transitive closure, and stationary_power_iteration() reaches the same
+vector by repeated multiplication. verify_lumpability() loops over the
+blocks of the partition. The library's slice-filled build, square LU
+solve, reachability test and reduceat lumpability check must agree with
+them. build_aoi_matrix_truncated() is the age chain whose stationary
+vector the closed-form age pmf must match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from aoi_access.aoi import AoiParams
 from aoi_access.deadline_queue import LUMP_TOL, LumpabilityReport, QueueParams
-from aoi_access.errors import ConvergenceError, NotIrreducibleError, PartitionError
+from aoi_access.errors import ConvergenceError, NotIrreducibleError, ParameterError, PartitionError
 from aoi_access.markov import StationaryDistribution, StochasticMatrix, _check_residual
 
 
@@ -67,9 +71,7 @@ def stationary(m: StochasticMatrix) -> StationaryDistribution:
     return StationaryDistribution(pi)
 
 
-def verify_lumpability(
-    m: StochasticMatrix, partition: list[list[int]], tol: float = LUMP_TOL
-) -> LumpabilityReport:
+def verify_lumpability(m: StochasticMatrix, partition: list[list[int]]) -> LumpabilityReport:
     n = m.n
     seen = sorted(s for block in partition for s in block)
     if seen != list(range(n)):
@@ -92,8 +94,55 @@ def verify_lumpability(
         lumped[i, :] = rows.mean(axis=0)
     np.minimum(lumped, 1.0, out=lumped)
 
-    if max_dev > tol:
+    if max_dev > LUMP_TOL:
         return LumpabilityReport(lumpable=False, max_deviation=max_dev, lumped=None)
     return LumpabilityReport(
         lumpable=True, max_deviation=max_dev, lumped=StochasticMatrix(lumped)
     )
+
+
+def stationary_power_iteration(
+    m: StochasticMatrix, steps: int = 10_000, tol: float = 1e-13
+) -> StationaryDistribution:
+    """Stationary distribution by repeated left-multiplication.
+
+    Starts from a uniform vector with a tiny index-proportional tilt: a
+    perfectly uniform start sits exactly on the fixed point of symmetric
+    periodic chains and would masquerade as converged; the tilt makes
+    periodic chains oscillate forever and fail loudly instead.
+    """
+    n = m.n
+    v = 1.0 + 1e-6 * np.arange(n) / max(n - 1, 1)
+    v /= v.sum()
+    diff = float("inf")
+    for _ in range(steps):
+        nxt = v @ m.entries
+        nxt /= nxt.sum()
+        diff = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if diff < tol:
+            _check_residual(v, m, "power iteration")
+            return StationaryDistribution(v)
+    raise ConvergenceError(
+        f"power iteration did not converge within {steps} steps (last diff {diff:g}); "
+        "the chain may be periodic"
+    )
+
+
+def build_aoi_matrix_truncated(p: AoiParams, n: int) -> StochasticMatrix:
+    """First n states of the age chain, with ages >= n folded into state n-1.
+
+    Column 0 carries the reset probability mu2 from every state; the
+    superdiagonal carries 1 - mu2. The terminal state keeps 1 - mu2 as a
+    self-loop so rows stay stochastic; its stationary mass absorbs the
+    whole geometric tail while states below it keep the exact pmf.
+    """
+    if not isinstance(n, int) or n < 2:
+        raise ParameterError(f"truncation size must be an integer >= 2, got {n!r}")
+    mu = p.update_success_prob
+    m = np.zeros((n, n))
+    m[:, 0] = mu
+    for i in range(n - 1):
+        m[i, i + 1] = 1.0 - mu
+    m[n - 1, n - 1] += 1.0 - mu
+    return StochasticMatrix(m)

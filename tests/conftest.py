@@ -4,20 +4,20 @@ import json
 
 import pytest
 
-from aoi_access.channel import LinkParams, ReceiverParams, db_to_linear
+from aoi_access.channel import LinkParams, db_to_linear, success_probs
 from aoi_access.deadline_queue import QueueParams, build_2d_action_chain, build_waiting_time_matrix
-from aoi_access.system import SystemParams
+from aoi_access.validate import (
+    REFERENCE_DISTANCE_M,
+    REFERENCE_NOISE_W,
+    REFERENCE_PATH_LOSS_EXP,
+    REFERENCE_TX_POWER_W,
+    reference_params,
+)
 
-# symmetric radio setup used throughout: 5 mW at 30 m, path-loss 4,
-# unit-mean fading, -100 dBm noise
-TX_POWER_W = 0.005
-DISTANCE_M = 30.0
-PATH_LOSS_EXP = 4.0
-NOISE_W = 1e-13
 
-
-def make_link(gamma_db=0.0, tx_power_w=TX_POWER_W, distance=DISTANCE_M,
-              alpha=PATH_LOSS_EXP, fading_scale=1.0):
+def make_link(gamma_db=0.0, tx_power_w=REFERENCE_TX_POWER_W, distance=REFERENCE_DISTANCE_M,
+              alpha=REFERENCE_PATH_LOSS_EXP, fading_scale=1.0):
+    """The reference link, with any of its radio figures replaced."""
     return LinkParams(
         tx_power=tx_power_w,
         distance=distance,
@@ -28,16 +28,13 @@ def make_link(gamma_db=0.0, tx_power_w=TX_POWER_W, distance=DISTANCE_M,
 
 
 def make_params(gamma_db=0.0, q1=0.5, q2=0.5, arrival_prob=0.5, deadline=3):
-    link = make_link(gamma_db)
-    return SystemParams(
-        link1=link,
-        link2=link,
-        rx=ReceiverParams(noise_power=NOISE_W),
-        q1=q1,
-        q2=q2,
-        arrival_prob=arrival_prob,
-        deadline=deadline,
-    )
+    """The reference scenario of the validate module, with the suite's default knobs."""
+    return reference_params(gamma_db, q1, q2, arrival_prob, deadline)
+
+
+def channel_probs(params):
+    """The four per-slot success probabilities of a scenario's channel."""
+    return success_probs(params.link1, params.link2, params.rx)
 
 
 def action_chain(lam, d, q2, sp, q1):
@@ -52,18 +49,18 @@ def action_chain(lam, d, q2, sp, q1):
 def scenario_doc(gamma_db=0.0, q1=0.5, q2=0.5, arrival_prob=0.5, deadline=3, sim=None, sweep=None):
     doc = {
         "link1": {
-            "tx_power_w": TX_POWER_W,
-            "distance_m": DISTANCE_M,
-            "path_loss_exp": PATH_LOSS_EXP,
+            "tx_power_w": REFERENCE_TX_POWER_W,
+            "distance_m": REFERENCE_DISTANCE_M,
+            "path_loss_exp": REFERENCE_PATH_LOSS_EXP,
             "sinr_threshold_db": gamma_db,
         },
         "link2": {
-            "tx_power_w": TX_POWER_W,
-            "distance_m": DISTANCE_M,
-            "path_loss_exp": PATH_LOSS_EXP,
+            "tx_power_w": REFERENCE_TX_POWER_W,
+            "distance_m": REFERENCE_DISTANCE_M,
+            "path_loss_exp": REFERENCE_PATH_LOSS_EXP,
             "sinr_threshold_db": gamma_db,
         },
-        "receiver": {"noise_w": NOISE_W},
+        "receiver": {"noise_w": REFERENCE_NOISE_W},
         "access": {"q1": q1, "q2": q2, "arrival_prob": arrival_prob, "deadline": deadline},
     }
     if sim is not None:

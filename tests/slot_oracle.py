@@ -20,9 +20,10 @@ from collections import deque
 
 import numpy as np
 
-from aoi_access import sim
+from aoi_access import channel, sim, system
+from aoi_access.deadline_queue import QueueParams, queue_metrics
 from aoi_access.sim import SimConfig, SimulationReport
-from aoi_access.system import DEFAULT_VIOLATION_THRESHOLDS
+from aoi_access.system import VIOLATION_THRESHOLDS
 
 
 def outcomes(q1: float, q2: float, sp) -> dict[tuple[int, int], float]:
@@ -44,11 +45,15 @@ def outcomes(q1: float, q2: float, sp) -> dict[tuple[int, int], float]:
     return out
 
 
-def thresholds(cfg: SimConfig, pipe) -> tuple[float, float, float, float]:
+def thresholds(cfg: SimConfig) -> tuple[float, float, float, float]:
     """p10, p11, p01 of a busy slot and user 2's success probability in an idle one."""
-    p, sp = cfg.params, pipe.sp
+    p, sp = cfg.params, cfg.success_probs_override
+    if sp is None:
+        sp = channel.success_probs(p.link1, p.link2, p.rx)
     if cfg.mode == "decoupled":
-        mu1, mu2 = pipe.mu1, pipe.mu2
+        _, mu1 = system.user1_service(p, sp)
+        busy = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline)).busy_prob
+        _, mu2 = system.user2_service(p, sp, busy)
         return mu1 * (1.0 - mu2), mu1 * mu2, (1.0 - mu1) * mu2, mu2
     busy = outcomes(p.q1, p.q2, sp)
     # with user 1 idle only user 2 may transmit
@@ -56,7 +61,7 @@ def thresholds(cfg: SimConfig, pipe) -> tuple[float, float, float, float]:
     return busy[1, 0], busy[1, 1], busy[0, 1], idle[0, 1]
 
 
-def replicate(cfg: SimConfig, pipe, rep: int) -> dict:
+def replicate(cfg: SimConfig, rep: int) -> dict:
     """One seeded replication; returns raw post-warmup tallies."""
     p = cfg.params
     slots, warmup, d = cfg.slots, cfg.warmup_slots, p.deadline
@@ -65,7 +70,7 @@ def replicate(cfg: SimConfig, pipe, rep: int) -> dict:
         np.random.default_rng(s) for s in np.random.SeedSequence([cfg.seed, rep]).spawn(2)
     )
     arrive = (arrival_rng.random(slots) < p.arrival_prob).tobytes()
-    p10, p11, p01, p2 = thresholds(cfg, pipe)
+    p10, p11, p01, p2 = thresholds(cfg)
     u = channel_rng.random(slots)
     win1_busy = (u < p10 + p11).tobytes()
     win2_busy = ((p10 <= u) & (u < p10 + p11 + p01)).tobytes()
@@ -133,12 +138,9 @@ def replicate(cfg: SimConfig, pipe, rep: int) -> dict:
     }
 
 
-def simulate(
-    cfg: SimConfig, violation_thresholds: tuple[int, ...] = DEFAULT_VIOLATION_THRESHOLDS
-) -> SimulationReport:
+def simulate(cfg: SimConfig) -> SimulationReport:
     """Every replication through replicate(), aggregated with Python loops."""
-    pipe = sim._pipeline(cfg)
-    reps = [replicate(cfg, pipe, r) for r in range(cfg.replications)]
+    reps = [replicate(cfg, r) for r in range(cfg.replications)]
     measured = cfg.slots - cfg.warmup_slots
     n_rep = cfg.replications
 
@@ -151,7 +153,7 @@ def simulate(
         ],
         "aoi_average": [r["aoi_sum"] / measured for r in reps],
     }
-    for x in violation_thresholds:
+    for x in VIOLATION_THRESHOLDS:
         per_rep[f"aoi_violation_{x}"] = [sum(r["hist"][x + 1 :]) / measured for r in reps]
 
     ci = {k: sim._ci(v, n_rep) for k, v in per_rep.items()}
@@ -187,7 +189,7 @@ def simulate(
         busy_prob=means["busy_prob"],
         per_packet_drop_prob=means["per_packet_drop_prob"],
         aoi_average=means["aoi_average"],
-        aoi_violation={x: means[f"aoi_violation_{x}"] for x in violation_thresholds},
+        aoi_violation={x: means[f"aoi_violation_{x}"] for x in VIOLATION_THRESHOLDS},
         aoi_histogram=histogram,
         waiting_time_occupancy=occupancy,
         ci_halfwidth=ci,

@@ -18,6 +18,7 @@ from aoi_access import cli
 from aoi_access.aoi import AoiParams, aoi_pmf, aoi_violation, average_aoi
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import (
+    LUMP_TOL,
     QueueParams,
     action_partition,
     build_waiting_time_matrix,
@@ -25,9 +26,9 @@ from aoi_access.deadline_queue import (
 )
 from aoi_access.markov import stationary
 from aoi_access.sim import SimConfig, occupancy_vs_stationary, simulate, transition_frequency_check
-from aoi_access.system import analyze, apply_axis, success_probs, sweep
+from aoi_access.system import analyze, apply_axis, sweep, user1_service
 
-from conftest import action_chain, make_params, scenario_doc
+from conftest import action_chain, channel_probs, make_params, scenario_doc
 from test_deadline_queue import reference_d3_matrix
 
 DECOUPLED_SLOTS = 1_000_000
@@ -106,7 +107,7 @@ def test_criterion_1_mpr_strength_reference_values():
     with criterion(1, "MPR strength reproduction"):
         for gamma_db, target in expected.items():
             params = make_params(gamma_db=gamma_db)
-            delta = mpr_strength(success_probs(params))
+            delta = mpr_strength(channel_probs(params))
             assert abs(delta - target) <= 5e-4, (gamma_db, delta)
 
 
@@ -144,20 +145,21 @@ def test_criterion_3_aoi_closed_forms_against_series_oracle():
 
 def test_criterion_4_lumpability_grid():
     with criterion(4, "2D action chain lumps onto waiting-time chain"):
+        # verify_lumpability's tolerance on the within-block spread
+        assert LUMP_TOL == 1e-12
         combos = 0
         for gamma_db in (-5.0, 0.0, 1.0):
-            sp = success_probs(make_params(gamma_db=gamma_db))
+            sp = channel_probs(make_params(gamma_db=gamma_db))
             for lam in (0.2, 0.5, 0.8):
                 for q1 in (0.3, 0.7):
                     for q2 in (0.25, 0.5, 0.9):
                         for d in (1, 2, 4, 6):
                             combos += 1
-                            mu1 = q1 * ((1.0 - q2) * sp.p_1_solo + q2 * sp.p_1_joint)
+                            params = make_params(gamma_db=gamma_db, q1=q1, q2=q2)
+                            _, mu1 = user1_service(params, sp)
                             qp = QueueParams(lam, mu1, d)
                             rep = verify_lumpability(
-                                action_chain(lam, d, q2, sp, q1),
-                                action_partition(d),
-                                tol=1e-12,
+                                action_chain(lam, d, q2, sp, q1), action_partition(d)
                             )
                             assert rep.lumpable
                             direct = build_waiting_time_matrix(qp)

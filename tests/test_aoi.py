@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aoi_access.aoi import (
-    AoiParams,
-    aoi_pmf,
-    aoi_report,
-    aoi_violation,
-    average_aoi,
-    build_aoi_matrix_truncated,
-)
+from aoi_access.aoi import AoiParams, aoi_pmf, aoi_violation, average_aoi
 from aoi_access.errors import ParameterError
 from aoi_access.markov import stationary
+from chain_oracle import build_aoi_matrix_truncated
 
 
 def test_pmf_deterministic_success():
@@ -88,13 +82,6 @@ def test_violation_complements_pmf_sum():
         assert aoi_violation(p, x) == pytest.approx(
             1.0 - sum(aoi_pmf(p, i) for i in range(1, x + 1)), abs=1e-12
         )
-
-
-def test_report_bundles_curves():
-    rep = aoi_report(AoiParams(0.25))
-    assert rep.average == 4.0
-    assert rep.pmf(2) == aoi_pmf(AoiParams(0.25), 2)
-    assert rep.violation(3) == aoi_violation(AoiParams(0.25), 3)
 
 
 def test_truncated_matrix_two_states():

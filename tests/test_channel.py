@@ -16,10 +16,11 @@ from aoi_access.channel import (
     success_probs,
 )
 from aoi_access.errors import ParameterError
+from aoi_access.validate import REFERENCE_NOISE_W
 
-from conftest import NOISE_W, make_link
+from conftest import make_link
 
-RX = ReceiverParams(noise_power=NOISE_W)
+RX = ReceiverParams(noise_power=REFERENCE_NOISE_W)
 
 # frozen from the independent one-liner 0.005 / 30**4 (exact integer power)
 REF_POWER_FACTOR = 6.17283950617284e-09

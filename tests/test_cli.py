@@ -245,6 +245,17 @@ def test_sweep_empty_values_is_an_error(write_scenario, tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["1.5,2.7", "3,inf", "nan"])
+def test_fractional_deadline_sweep_is_an_error(write_scenario, tmp_path, capsys, values):
+    path = write_scenario(scenario_doc())
+    out = tmp_path / "d"
+    code = cli.main(["sweep", "--scenario", str(path), "--axis", "d", "--values", values,
+                     "--out", str(out)])
+    assert code == 1
+    assert "integers" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
 def test_sweep_without_axis_is_an_error(write_scenario, tmp_path):
     path = write_scenario(scenario_doc())
     assert cli.main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 1
@@ -277,6 +288,15 @@ def test_validate_small_grid_passes(tmp_path, capsys):
         "occupancy_vs_stationary",
         "transition_frequencies",
     }
+
+
+@pytest.mark.parametrize("slots", ["0", "-5"])
+def test_validate_rejects_a_horizon_below_one_slot(tmp_path, capsys, slots):
+    out = tmp_path / "v"
+    assert cli.main(["validate", "--slots", slots, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "slots must be a positive integer" in err
+    assert not out.with_suffix(".json").exists()
 
 
 def test_validate_detects_injected_fault():

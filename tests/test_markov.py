@@ -13,12 +13,8 @@ import chain_oracle
 from aoi_access import markov
 from aoi_access.deadline_queue import QueueParams, build_waiting_time_matrix
 from aoi_access.errors import ConvergenceError, NotIrreducibleError, NotStochasticError
-from aoi_access.markov import (
-    StationaryDistribution,
-    StochasticMatrix,
-    stationary,
-    stationary_power_iteration,
-)
+from aoi_access.markov import StationaryDistribution, StochasticMatrix, stationary
+from chain_oracle import stationary_power_iteration
 
 
 def random_positive_chain(rng, n):

@@ -39,9 +39,9 @@ def test_seed_changes_the_sample_path():
 def test_replications_do_not_replay_the_next_seed():
     params = make_params()
     pair = SimConfig(params=params, slots=20_000, seed=11, replications=2)
-    pipe = sim._pipeline(pair)
-    second = sim._replicate(pair, pipe, 1)
-    next_seed = sim._replicate(replace(pair, seed=12, replications=1), pipe, 0)
+    _, bounds = sim._layout(pair)
+    second = sim._replicate(pair, bounds, 1)
+    next_seed = sim._replicate(replace(pair, seed=12, replications=1), bounds, 0)
     assert second["aoi_sum"] != next_seed["aoi_sum"]
     assert second["arrivals"] != next_seed["arrivals"]
 

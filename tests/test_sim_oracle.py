@@ -36,9 +36,9 @@ def _assert_matches_oracle(cfg: SimConfig) -> None:
         with pytest.raises(type(exc)):
             simulate(cfg)
         return
-    pipe = sim._pipeline(cfg)
+    _, bounds = sim._layout(cfg)
     for r in range(cfg.replications):
-        assert _plain(sim._replicate(cfg, pipe, r)) == _plain(slot_oracle.replicate(cfg, pipe, r))
+        assert _plain(sim._replicate(cfg, bounds, r)) == _plain(slot_oracle.replicate(cfg, r))
     got = simulate(cfg)
     assert got == want
 
@@ -140,9 +140,9 @@ def test_channel_draws_follow_the_interval_layout(q1, q2, sp, mode):
         mode=mode,
         success_probs_override=sp,
     )
-    pipe = sim._pipeline(cfg)
-    _, s1, s2_idle, s2_busy = sim._draw(cfg, pipe, 0, np.int32)
-    p10, p11, p01, p2 = slot_oracle.thresholds(cfg, pipe)
+    _, bounds = sim._layout(cfg)
+    _, s1, s2_idle, s2_busy = sim._draw(cfg, bounds, 0, np.int32)
+    p10, p11, p01, p2 = slot_oracle.thresholds(cfg)
     events = [
         (s1 & s2_busy, p11),
         (s1 & ~s2_busy, p10),
@@ -191,10 +191,10 @@ def test_replication_memory_within_oracle_budget():
     # byte-per-slot streams, plus the float64 draw of the last one: 15
     # bytes per slot, 7.2 MiB here. It stays at that figure.
     cfg = SimConfig(params=make_params(deadline=20), slots=500_000, seed=3)
-    pipe = sim._pipeline(cfg)
+    _, bounds = sim._layout(cfg)
     tracemalloc.start()
     try:
-        sim._replicate(cfg, pipe, 0)
+        sim._replicate(cfg, bounds, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,16 +6,9 @@ import pytest
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import QueueParams, queue_metrics
 from aoi_access.errors import ParameterError
-from aoi_access.system import (
-    analyze,
-    apply_axis,
-    service_prob_user1,
-    service_prob_user2,
-    success_probs,
-    sweep,
-)
+from aoi_access.system import analyze, apply_axis, sweep, user1_service, user2_service
 
-from conftest import make_params
+from conftest import channel_probs, make_params
 
 # frozen composition of the reference channel values at 0 dB with
 # q1 = q2 = 0.5: 0.5 * (0.5 * p11 + 0.5 * p11/2) checked by hand
@@ -24,37 +17,35 @@ REF_MU1 = 0.3749939250492072
 
 def test_mu1_zero_access_probability():
     params = make_params(q1=0.0)
-    assert service_prob_user1(params, success_probs(params)) == 0.0
+    assert user1_service(params, channel_probs(params))[1] == 0.0
 
 
 def test_mu1_without_interferer():
     params = make_params(q2=0.0, q1=0.7)
-    sp = success_probs(params)
-    assert service_prob_user1(params, sp) == pytest.approx(0.7 * sp.p_1_solo, rel=1e-15)
+    sp = channel_probs(params)
+    assert user1_service(params, sp)[1] == pytest.approx(0.7 * sp.p_1_solo, rel=1e-15)
 
 
 def test_mu1_reference_composition():
     params = make_params(gamma_db=0.0, q1=0.5, q2=0.5)
-    assert service_prob_user1(params, success_probs(params)) == pytest.approx(
-        REF_MU1, rel=1e-12
-    )
+    assert user1_service(params, channel_probs(params))[1] == pytest.approx(REF_MU1, rel=1e-12)
 
 
 def test_mu2_idle_queue():
     params = make_params(q2=0.4)
-    sp = success_probs(params)
-    assert service_prob_user2(params, sp, 0.0) == pytest.approx(0.4 * sp.p_2_solo, rel=1e-15)
+    sp = channel_probs(params)
+    assert user2_service(params, sp, 0.0)[1] == pytest.approx(0.4 * sp.p_2_solo, rel=1e-15)
 
 
 def test_mu2_silent_sampler():
     params = make_params(q2=0.0)
-    assert service_prob_user2(params, success_probs(params), 0.5) == 0.0
+    assert user2_service(params, channel_probs(params), 0.5)[1] == 0.0
 
 
 def test_mu2_persistent_interferer():
     params = make_params(q1=1.0, q2=0.6)
-    sp = success_probs(params)
-    assert service_prob_user2(params, sp, 1.0) == pytest.approx(0.6 * sp.p_2_joint, rel=1e-15)
+    sp = channel_probs(params)
+    assert user2_service(params, sp, 1.0)[1] == pytest.approx(0.6 * sp.p_2_joint, rel=1e-15)
 
 
 def test_analyze_no_traffic():
@@ -170,7 +161,7 @@ def test_system_params_validation():
 
 def test_mpr_strength_is_none_when_a_solo_success_underflows():
     params = make_params(gamma_db=90.0)
-    sp = success_probs(params)
+    sp = channel_probs(params)
     assert sp.p_1_solo == 0.0 and sp.p_2_solo == 0.0
     report = analyze(params)
     assert report.delta is None and report.mpr_strong is None
