@@ -29,16 +29,22 @@ the idle bit, never both, so one u may serve the two.
 tests/slot_oracle.py plays the same draws out slot by slot as the
 reference; this module returns identical tallies but computes them with
 array operations. User 1's success in a slot does not depend on its
-queue, so FIFO order gives each packet's departure slot from the wait
-for user 1's next success. The departures are solved time-parallel over
-chunks of packets (Greenberg, Lubachevsky & Mitrani, "Algorithms for
-unboundedly parallel simulations", ACM TOCS 1991). The per-slot
-head-of-line state, user 2's successes and the age follow from the
-packets' slots, block by block.
+queue, so FIFO order gives each packet's departure from counts of user
+1's successes, every slot past the horizon counting as one: with g_i
+the successes at or before packet i's departure, and lo_i and hi_i those
+at or before its arrival a_i and its deadline a_i + d,
+g_i = min(max(g_{i-1}, lo_i) + 1, hi_i). The packet is delivered iff
+max(g_{i-1}, lo_i) < hi_i, at user 1's success number max(g_{i-1}, lo_i)
+(counting from 0), and is otherwise dropped at a_i + d. The recurrence
+is solved time-parallel over chunks of packets (Greenberg, Lubachevsky
+& Mitrani, "Algorithms for unboundedly parallel simulations", ACM TOCS
+1991). The per-slot head-of-line state, user 2's successes and the age
+follow from the packets' slots, block by block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,53 +163,145 @@ def _layout(cfg: SimConfig) -> tuple[float, tuple[float, float, float, float]]:
     return mu1, (p10, p10 + p11, p10 + p11 + p01, p2)
 
 
-def _departures(a: np.ndarray, wait: np.ndarray, d: int) -> np.ndarray:
-    """Departure slot of every packet, from the arrival slots a (n >= 1).
+def _success_counts(
+    a: np.ndarray, s1: np.ndarray, d: int, L: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each packet's counts of user 1's successes, as (L, m) chunk lanes.
 
-    FIFO gives e_i = min(x + wait[x], a_i + d) with x = max(a_i, e_{i-1}) + 1,
-    where wait is _wait_table's. A chunk of packets depends on the packets
-    before it only through its start, max(e_{i-1}, a_i) - a_i for its first
-    packet, which lies in 0..d-1. All chunks are advanced at once from
-    starts 0 and d-1. A chunk's last departure is nondecreasing in the
-    start, so where those two end alike every start does; the other chunks
-    are advanced from every start. The chunk ends are then stitched
-    together in order, and each chunk is replayed from its true start.
+    lo[j, c] and hi[j, c] count the successes at or before a_i and at or
+    before a_i + d for packet i = c L + j, where every slot past the
+    horizon counts as a success; the last chunk is padded by repeating its
+    last packet. The counts are read from a cumulative count over the slots
+    of about _BLOCK / 4 packets at a time, which keeps the temporaries
+    small, and are written straight into the lanes.
+    """
+    slots = len(s1)
+    lo = np.empty((L, m), dtype=a.dtype)
+    hi = np.empty((L, m), dtype=a.dtype)
+    group = max(1, _BLOCK // (4 * L))  # chunks at a time
+    base, t = 0, 0  # the successes before slot t
+    for c0 in range(0, m, group):
+        c1 = min(c0 + group, m)
+        p = a[c0 * L : c1 * L]
+        if len(p) < (c1 - c0) * L:
+            p = np.concatenate((p, np.full((c1 - c0) * L - len(p), p[-1], dtype=a.dtype)))
+        t0 = int(p[0])
+        base += int(np.count_nonzero(s1[t:t0]))
+        t = t0
+        # count[r]: the successes at or before slot t0 + r
+        span = int(p[-1]) + d + 1 - t0
+        count = np.empty(span, dtype=a.dtype)
+        k = min(span, slots - t0)
+        np.cumsum(s1[t0 : t0 + k], dtype=a.dtype, out=count[:k])
+        count[k:] = np.arange(count[k - 1] + 1, count[k - 1] + 1 + span - k, dtype=a.dtype)
+        count += base
+        # intp offsets: take would copy any other index type to intp
+        offset = np.subtract(p, t0, dtype=np.intp)
+        lo[:, c0:c1] = count.take(offset).reshape(c1 - c0, L).T
+        offset += d
+        hi[:, c0:c1] = count.take(offset).reshape(c1 - c0, L).T
+    return lo, hi
+
+
+def _success_slots(s1: np.ndarray, d: int, dtype) -> np.ndarray:
+    """User 1's success slots, then the d + 1 slots past the horizon."""
+    slots = len(s1)
+    out = np.empty(int(np.count_nonzero(s1)) + d + 1, dtype=dtype)
+    k = 0
+    for t0 in range(0, slots, _BLOCK):
+        hits = np.flatnonzero(s1[t0 : t0 + _BLOCK])
+        out[k : k + len(hits)] = hits + t0
+        k += len(hits)
+    out[k:] = np.arange(slots, slots + d + 1)
+    return out
+
+
+def _advance(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, record=None) -> np.ndarray:
+    """Play chunk lanes on from cur (k, m), the successes counted before each chunk.
+
+    Returns cur holding the count at each chunk's last departure; record,
+    if given, receives k_i = max(g_{i-1}, lo_i) of every step and may be
+    lo.
+    """
+    xs = record if record is not None else itertools.repeat(np.empty_like(cur))
+    for lo_j, hi_j, x in zip(lo, hi, xs):
+        np.maximum(cur, lo_j, out=x)
+        np.add(x, 1, out=cur)
+        np.minimum(cur, hi_j, out=cur)
+    return cur
+
+
+def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Departure slot of every packet from the arrival slots a, and whether it was delivered.
+
+    FIFO gives e_i = min(N(x_i), a_i + d) with x_i = max(a_i, e_{i-1}) + 1,
+    where N(x) is user 1's first success at or after slot x. In counts of
+    user 1's successes (_success_counts), g_i at or before e_i, lo_i at or
+    before a_i and hi_i at or before a_i + d, this is
+    g_i = min(k_i + 1, hi_i) with k_i = max(g_{i-1}, lo_i), the successes
+    before slot x_i, and g_{-1} = 0: one max, add and min per packet. With
+    S the success slots (_success_slots), packet i is delivered iff
+    k_i < hi_i, at e_i = S[k_i]; otherwise k_i = hi_i, S[k_i] lies past the
+    deadline and e_i = a_i + d. So e_i = min(S[k_i], a_i + d) either way,
+    and the packet is delivered iff S[k_i] <= a_i + d.
+
+    A chunk of packets depends on the packets before it only through the
+    k_0 of its first packet, max(g, lo_0) with g the last count of the
+    chunk before, which lies in lo_0..hi_0. All chunks are advanced at
+    once from lo_0 and from hi_0, with the starts on the leading axis. A
+    chunk's last count is nondecreasing in its start, so where those two
+    end alike every start does. Each other chunk can only start between
+    the two ends of the chunk before it; it is advanced from each of those
+    starts, together with the chunks whose number of starts shares its
+    power of two. The chunk ends are then stitched together in order, and
+    every chunk is replayed from its true start.
     """
     n = len(a)
+    if not n:
+        return a, np.zeros(0, dtype=bool)
     L = min(_CHUNK, n)
     m = -(-n // L)
-    # lanes[j, c]: arrival slot of the j-th packet of chunk c; the last
-    # chunk is padded by repeating the last arrival
-    lanes = np.empty((L, m), dtype=a.dtype)
-    lanes.T.flat[:n] = a
-    lanes.T.flat[n:] = a[-1]
+    lo, hi = _success_counts(a, s1, d, L, m)
 
-    def advance(rows: np.ndarray, cur: np.ndarray, record: np.ndarray | None = None):
-        buf = np.empty_like(cur)
-        for j, arrival in enumerate(rows[:, :, None]):
-            np.maximum(arrival, cur, out=buf)
-            buf += 1
-            np.add(buf, wait.take(buf), out=cur)
-            np.minimum(cur, arrival + d, out=cur)
-            if record is not None:
-                record[:, j] = cur[:, 0]
-        return cur
-
-    first = lanes[0, :, None]
-    low, high = advance(lanes, first + np.array([0, d - 1], dtype=a.dtype)).T
-    split = np.flatnonzero(low != high)
-    starts = first[split] + np.arange(d, dtype=a.dtype)
-    ends = {}
+    low, high = _advance(np.stack((lo[0], hi[0])), lo, hi)
+    ends = low
+    split = np.flatnonzero(low[1:] != high[1:]) + 1
     if len(split):
-        ends = dict(zip(split.tolist(), advance(lanes[:, split], starts).tolist()))
-    start = []
-    e_prev = -1
-    for c, (a0, end) in enumerate(zip(first[:, 0].tolist(), low.tolist())):
-        start.append(max(e_prev, a0))
-        e_prev = ends[c][start[-1] - a0] if c in ends else end
-    dep = np.empty((m, L), dtype=a.dtype)
-    advance(lanes, np.array(start, dtype=a.dtype)[:, None], dep)
-    return dep.reshape(-1)[:n]
+        # chunk c starts from max(g, lo_0), and g, the last count of chunk
+        # c - 1, lies between that chunk's two probe ends
+        first = lo[0, split]
+        lower = np.maximum(low[split - 1], first)
+        width = np.maximum(high[split - 1], first) - lower + 1
+        # chunks whose widths share a power of two are advanced together
+        octave = np.frexp(width - 1)[1]
+        tables = {}
+        for o in set(octave.tolist()):  # np.unique would import numpy.ma
+            pick = octave == o
+            cols = split[pick]
+            starts = lower[pick] + np.arange(width[pick].max(), dtype=a.dtype)[:, None]
+            table = _advance(starts, lo.take(cols, axis=1), hi.take(cols, axis=1))
+            tables.update(zip(cols.tolist(), table.T))
+        ends = low.tolist()
+        for c, lo_0, least in zip(split.tolist(), first.tolist(), lower.tolist()):
+            ends[c] = int(tables[c][max(ends[c - 1], lo_0) - least])
+    # replay from the true starts, leaving k_i in lo
+    start = np.zeros(m, dtype=a.dtype)
+    start[1:] = ends[:-1]
+    _advance(start, lo, hi, lo)
+    del hi
+    e = lo.T.reshape(-1)[:n]
+    del lo
+    S = _success_slots(s1, d, a.dtype)
+    for k in range(0, n, _BLOCK):  # in place; a whole-array take would copy e to intp
+        part = e[k : k + _BLOCK]
+        part[:] = S.take(part)
+    del S
+    # e_i = min(S[k_i], a_i + d), delivered iff S[k_i] <= a_i + d
+    e -= a
+    delivered = e <= d
+    np.minimum(e, d, out=e)
+    e += a
+    return e, delivered
 
 
 def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx) -> tuple[np.ndarray, ...]:
@@ -237,23 +335,6 @@ def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx) -> tuple[np.
         s2_busy[blk] ^= v < p10
     arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
     return arrivals, s1, s2_idle, s2_busy
-
-
-def _wait_table(s1: np.ndarray, d: int) -> np.ndarray:
-    """Slots from each slot t to user 1's first success at or after t, capped at d.
-
-    Every slot past the horizon counts as a success.
-    """
-    slots = len(s1)
-    wait = np.zeros(slots + d + 1, dtype=np.min_scalar_type(d))
-    following = slots  # the first success after the block
-    for t0 in reversed(range(0, slots, _BLOCK)):
-        blk = slice(t0, min(t0 + _BLOCK, slots))
-        t = np.arange(blk.start, blk.stop)
-        nxt = np.minimum.accumulate(np.where(s1[blk], t, following)[::-1])[::-1]
-        following = int(nxt[0])
-        wait[blk] = np.minimum(nxt - t, d)
-    return wait
 
 
 def _slot_tallies(
@@ -329,15 +410,13 @@ def _replicate(cfg: SimConfig, bounds: tuple[float, ...], rep: int) -> dict:
     idx = np.int32 if slots + d < np.iinfo(np.int32).max else np.int64
     a, s1, s2_idle, s2_busy = _draw(cfg, bounds, rep, idx)
     n = len(a) - 1
-    wait = _wait_table(s1, d)
+    e, delivered = _departures(a[:n], s1, d)
     del s1
-    e = _departures(a[:n], wait, d) if n else a[:0]
     # departures are strictly increasing; a packet departing past the
     # horizon is still queued at its end
     # (searched with idx scalars: a Python int would make an int64 copy of e)
     done = e[: e.searchsorted(idx(slots))]
-    delivered = wait[done] == 0
-    del wait
+    delivered = delivered[: len(done)]
     late = int(done.searchsorted(idx(warmup)))
     delivered_m = int(np.count_nonzero(delivered[late:]))
     return {

@@ -8,7 +8,7 @@ import pytest
 from aoi_access import cli, results
 from aoi_access.scenarios import load_scenario
 from aoi_access.system import analyze
-from aoi_access.validate import run_validation
+from aoi_access.validate import MIN_SLOTS, run_validation
 
 from conftest import scenario_doc
 
@@ -290,12 +290,12 @@ def test_validate_small_grid_passes(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("slots", ["0", "-5"])
+@pytest.mark.parametrize("slots", ["0", "-5", "1", "9999"])
 def test_validate_rejects_a_horizon_below_one_slot(tmp_path, capsys, slots):
     out = tmp_path / "v"
     assert cli.main(["validate", "--slots", slots, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "slots must be a positive integer" in err
+    assert err.startswith("error: ") and f"slots must be an integer of at least {MIN_SLOTS}" in err
     assert not out.with_suffix(".json").exists()
 
 

@@ -1,5 +1,6 @@
 """The vectorised simulator against the slot-by-slot oracle in slot_oracle.py."""
 
+import bisect
 import dataclasses
 import json
 import tracemalloc
@@ -88,6 +89,55 @@ def configs(draw):
 def test_matches_slot_oracle(cfg, chunk, block):
     with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_BLOCK", block):
         _assert_matches_oracle(cfg)
+
+
+def fifo_departures(a, s1, d):
+    """Each packet's departure slot and delivery, one packet at a time.
+
+    e_i = min(N(x_i), a_i + d) with x_i = max(a_i, e_{i-1}) + 1, where N(x)
+    is user 1's first success at or after slot x and every slot past the
+    horizon counts as a success; the packet is delivered iff N(x_i) comes
+    first.
+    """
+    successes = np.flatnonzero(s1).tolist()
+    departures, delivered = [], []
+    prev = -1
+    for arrival in a.tolist():
+        x = max(arrival, prev) + 1
+        k = bisect.bisect_left(successes, x)
+        nxt = successes[k] if k < len(successes) else max(x, len(s1))
+        prev = min(nxt, arrival + d)
+        departures.append(prev)
+        delivered.append(nxt <= arrival + d)
+    return departures, delivered
+
+
+@st.composite
+def fifo_inputs(draw):
+    slots = draw(st.integers(1, 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    successes = draw(st.sampled_from(["none", "all", "random"]))
+    if successes == "random":
+        s1 = rng.random(slots) < draw(st.floats(0.0, 1.0))
+    else:
+        s1 = np.full(slots, successes == "all")
+    lam = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    a = np.flatnonzero(rng.random(slots) < lam).astype(np.int32)
+    d = draw(st.one_of(st.integers(1, 12), st.integers(1, 2_000)))
+    return a, s1, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inputs=fifo_inputs(),
+    chunk=st.sampled_from([1, 2, 7, 128]),
+    block=st.sampled_from([1, 3, 64, 1 << 14]),
+)
+def test_departures_match_sequential_fifo(inputs, chunk, block):
+    a, s1, d = inputs
+    with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_BLOCK", block):
+        e, delivered = sim._departures(a, s1, d)
+    assert (e.tolist(), delivered.tolist()) == fifo_departures(a, s1, d)
 
 
 EDGES = [
@@ -184,6 +234,16 @@ def test_long_deadline_coupled_run_matches_slot_oracle():
         success_probs_override=SuccessProbs(0.5, 0.5, 0.5, 0.5),
     )
     assert simulate(cfg) == slot_oracle.simulate(cfg)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_saturated_long_deadline_run_matches_slot_oracle(mode):
+    # arrivals outpace user 1's successes, so every departure chunk
+    # depends on the one before it
+    cfg = SimConfig(
+        params=make_params(arrival_prob=0.9, deadline=1000), slots=10_000, seed=2, mode=mode
+    )
+    _assert_matches_oracle(cfg)
 
 
 def test_replication_memory_within_oracle_budget():
