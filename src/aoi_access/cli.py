@@ -14,14 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import results
 from .channel import linear_to_db
 from .errors import ParameterError, ScenarioError
-from .scenarios import Scenario, load_scenario
-from .sim import MODES, simulate
+from .scenarios import SIM_KEYS, Scenario, load_scenario
+from .sim import MODES, SimConfig, simulate
 from .system import SWEEP_AXES, analyze, sweep
 from .validate import run_validation
 
@@ -91,19 +90,10 @@ def _print_sim_summary(sim_report) -> None:
     )
 
 
-def _sim_settings_with_overrides(scenario: Scenario, args) -> "Scenario":
-    sim = scenario.sim
-    if getattr(args, "slots", None) is not None:
-        sim = replace(sim, slots=args.slots)
-    if getattr(args, "warmup", None) is not None:
-        sim = replace(sim, warmup_slots=args.warmup)
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    if getattr(args, "replications", None) is not None:
-        sim = replace(sim, replications=args.replications)
-    if getattr(args, "mode", None) is not None:
-        sim = replace(sim, mode=args.mode)
-    return replace(scenario, sim=sim)
+def _sim_settings(scenario: Scenario, args) -> dict:
+    """The scenario's sim block with the sim flags given on the command line laid over it."""
+    flags = {k: getattr(args, k) for k in SIM_KEYS if getattr(args, k) is not None}
+    return {**scenario.sim, **flags}
 
 
 def cmd_analyze(args) -> int:
@@ -118,10 +108,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _sim_settings_with_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     report = analyze(scenario.params)
-    cfg = scenario.sim.to_config(scenario.params)
-    sim_report = simulate(cfg)
+    sim_report = simulate(SimConfig(params=scenario.params, **_sim_settings(scenario, args)))
     row = results.attach_simulation(results.analytical_row(report), sim_report)
     base = _out_base(args.out, f"simulate_{Path(args.scenario).stem}")
     csv_path, json_path = _write_rows(base, [row])
@@ -139,7 +128,8 @@ def _parse_values(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _sim_settings_with_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
+    settings = _sim_settings(scenario, args)
     axis = args.axis or scenario.sweep_axis
     if axis is None:
         raise ParameterError("no sweep axis: pass --axis or put a sweep block in the scenario")
@@ -154,7 +144,7 @@ def cmd_sweep(args) -> int:
     for value, report in zip(values, sweep(scenario.params, axis, values)):
         row = results.analytical_row(report, sweep_axis=axis, sweep_value=float(value))
         if args.with_sim:
-            row = results.attach_simulation(row, simulate(scenario.sim.to_config(report.params)))
+            row = results.attach_simulation(row, simulate(SimConfig(params=report.params, **settings)))
         rows.append(row)
 
     base = _out_base(args.out, f"sweep_{axis}_{Path(args.scenario).stem}")
@@ -188,32 +178,36 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # overrides of the scenario's sim block, shared by simulate and sweep
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument("--slots", type=int, help="slots per replication")
+    sim_flags.add_argument(
+        "--warmup", type=int, dest="warmup_slots", help="warmup slots excluded from statistics"
+    )
+    sim_flags.add_argument("--seed", type=int)
+    sim_flags.add_argument("--replications", type=int)
+    sim_flags.add_argument("--mode", choices=MODES)
+
     p_analyze = sub.add_parser("analyze", help="closed-form report for one scenario")
     p_analyze.add_argument("--scenario", required=True, help="scenario JSON file")
     p_analyze.add_argument("--out", help="output base path (writes .csv and .json)")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run for one scenario")
+    p_sim = sub.add_parser(
+        "simulate", parents=[sim_flags], help="Monte Carlo run for one scenario"
+    )
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--out")
-    p_sim.add_argument("--slots", type=int, help="slots per replication")
-    p_sim.add_argument("--warmup", type=int, help="warmup slots excluded from statistics")
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--replications", type=int)
-    p_sim.add_argument("--mode", choices=MODES)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="one report per value of a swept parameter")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[sim_flags], help="one report per value of a swept parameter"
+    )
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--axis", choices=SWEEP_AXES)
     p_sweep.add_argument("--values", help="comma-separated sweep values")
     p_sweep.add_argument("--with-sim", action="store_true", help="also simulate each point")
-    p_sweep.add_argument("--slots", type=int)
-    p_sweep.add_argument("--warmup", type=int)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--replications", type=int)
-    p_sweep.add_argument("--mode", choices=MODES)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the cross-check suite")

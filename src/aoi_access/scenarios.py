@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .channel import LinkParams, ReceiverParams, db_to_linear, dbm_to_watts
 from .errors import ParameterError, ScenarioError
-from .sim import MODES, SimConfig
+from .sim import MODES
 from .system import SWEEP_AXES, SystemParams
 
 _LINK_KEYS = {
@@ -27,42 +27,21 @@ _LINK_KEYS = {
 }
 _RECEIVER_KEYS = {"noise_dbm", "noise_w"}
 _ACCESS_KEYS = {"q1", "q2", "arrival_prob", "deadline"}
-_SIM_KEYS = {"slots", "warmup_slots", "seed", "replications", "mode"}
+# the sim block's keys: each is a SimConfig keyword and the dest of a CLI sim flag
+SIM_KEYS = ("slots", "warmup_slots", "seed", "replications", "mode")
 _SWEEP_KEYS = {"axis", "values"}
 _TOP_KEYS = {"link1", "link2", "receiver", "access", "sim", "sweep"}
 
-SIM_DEFAULTS = {
-    "slots": 1_000_000,
-    "warmup_slots": None,
-    "seed": 1,
-    "replications": 1,
-    "mode": "coupled",
-}
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    slots: int
-    warmup_slots: int | None
-    seed: int
-    replications: int
-    mode: str
-
-    def to_config(self, params: SystemParams) -> SimConfig:
-        return SimConfig(
-            params=params,
-            slots=self.slots,
-            warmup_slots=self.warmup_slots,
-            seed=self.seed,
-            replications=self.replications,
-            mode=self.mode,
-        )
+# the SimConfig fields without a default of their own
+SIM_DEFAULTS = {"slots": 1_000_000, "seed": 1}
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """params, and sim: SimConfig's keyword arguments besides params."""
+
     params: SystemParams
-    sim: SimSettings
+    sim: dict
     sweep_axis: str | None
     sweep_values: tuple | None
 
@@ -149,37 +128,28 @@ def _parse_receiver(doc, problems: _Problems) -> ReceiverParams | None:
         return None
 
 
-def _parse_sim(doc, problems: _Problems) -> SimSettings | None:
+def _parse_sim(doc, problems: _Problems) -> dict | None:
     path = "sim"
     merged = dict(SIM_DEFAULTS)
     if doc is not None:
         if not isinstance(doc, dict):
             problems.add(path, "must be an object")
             return None
-        _check_unknown(doc, _SIM_KEYS, path, problems)
+        _check_unknown(doc, SIM_KEYS, path, problems)
         merged.update(doc)
     ok = True
-    for key in ("slots", "seed", "replications"):
+    for key in ("slots", "seed", "replications", "warmup_slots"):
+        # a null warmup_slots is SimConfig's default warm-up
+        if key not in merged or (key == "warmup_slots" and merged[key] is None):
+            continue
         v = merged[key]
         if isinstance(v, bool) or not isinstance(v, int):
             problems.add(f"{path}.{key}", f"must be an integer, got {v!r}")
             ok = False
-    w = merged["warmup_slots"]
-    if w is not None and (isinstance(w, bool) or not isinstance(w, int)):
-        problems.add(f"{path}.warmup_slots", f"must be an integer, got {w!r}")
-        ok = False
-    if merged["mode"] not in MODES:
+    if "mode" in merged and merged["mode"] not in MODES:
         problems.add(f"{path}.mode", f"must be one of {MODES}, got {merged['mode']!r}")
         ok = False
-    if not ok:
-        return None
-    return SimSettings(
-        slots=merged["slots"],
-        warmup_slots=merged["warmup_slots"],
-        seed=merged["seed"],
-        replications=merged["replications"],
-        mode=merged["mode"],
-    )
+    return merged if ok else None
 
 
 def _parse_sweep(doc, problems: _Problems):

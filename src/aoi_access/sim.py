@@ -245,16 +245,16 @@ def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.n
     deadline and e_i = a_i + d. So e_i = min(S[k_i], a_i + d) either way,
     and the packet is delivered iff S[k_i] <= a_i + d.
 
-    A chunk of packets depends on the packets before it only through the
-    k_0 of its first packet, max(g, lo_0) with g the last count of the
-    chunk before, which lies in lo_0..hi_0. All chunks are advanced at
-    once from lo_0 and from hi_0, with the starts on the leading axis. A
-    chunk's last count is nondecreasing in its start, so where those two
-    end alike every start does. Each other chunk can only start between
-    the two ends of the chunk before it; it is advanced from each of those
-    starts, together with the chunks whose number of starts shares its
-    power of two. The chunk ends are then stitched together in order, and
-    every chunk is replayed from its true start.
+    A chunk of packets depends on the packets before it only through g,
+    the last count of the chunk before. Each packet's step,
+    g -> min(max(g + 1, lo_i + 1), hi_i), is a shift by one clamped to an
+    interval, and shifted clamps compose into shifted clamps: a chunk of L
+    packets maps g to min(max(g + L, low), high). Every g <= lo_0 gives low
+    and every g >= hi_0 gives high, so low and high are the chunk's ends
+    when advanced from lo_0 and from hi_0. All chunks are advanced at once
+    from those two probes, with the starts on the leading axis; the chunk
+    ends are then stitched together in order by the clamp, and every chunk
+    is replayed from its true start.
     """
     n = len(a)
     if not n:
@@ -265,25 +265,12 @@ def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.n
 
     low, high = _advance(np.stack((lo[0], hi[0])), lo, hi)
     ends = low
+    # where the probes end alike every start does
     split = np.flatnonzero(low[1:] != high[1:]) + 1
     if len(split):
-        # chunk c starts from max(g, lo_0), and g, the last count of chunk
-        # c - 1, lies between that chunk's two probe ends
-        first = lo[0, split]
-        lower = np.maximum(low[split - 1], first)
-        width = np.maximum(high[split - 1], first) - lower + 1
-        # chunks whose widths share a power of two are advanced together
-        octave = np.frexp(width - 1)[1]
-        tables = {}
-        for o in set(octave.tolist()):  # np.unique would import numpy.ma
-            pick = octave == o
-            cols = split[pick]
-            starts = lower[pick] + np.arange(width[pick].max(), dtype=a.dtype)[:, None]
-            table = _advance(starts, lo.take(cols, axis=1), hi.take(cols, axis=1))
-            tables.update(zip(cols.tolist(), table.T))
         ends = low.tolist()
-        for c, lo_0, least in zip(split.tolist(), first.tolist(), lower.tolist()):
-            ends[c] = int(tables[c][max(ends[c - 1], lo_0) - least])
+        for c, least, most in zip(split.tolist(), low[split].tolist(), high[split].tolist()):
+            ends[c] = min(max(ends[c - 1] + L, least), most)
     # replay from the true starts, leaving k_i in lo
     start = np.zeros(m, dtype=a.dtype)
     start[1:] = ends[:-1]

@@ -67,7 +67,6 @@ LUMP_GRID_D = (1, 2, 4, 6)
 # little, and at a single slot every simulation passes
 MIN_SLOTS = 10_000
 
-SIM_METRICS = ("drop_rate", "busy_prob", "throughput", "aoi_average")
 SIM_VIOLATION_X = (1, 5, 10)
 
 

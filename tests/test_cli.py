@@ -178,6 +178,24 @@ def test_simulate_flag_overrides_and_ci_columns(write_scenario, tmp_path):
     assert counts["arrivals"] == counts["delivered"] + counts["dropped"] + counts["queue_residual"]
 
 
+def test_sim_flags_reach_simulate_and_every_sweep_row(write_scenario, tmp_path):
+    path = write_scenario(scenario_doc(sim={"slots": 50_000, "seed": 1, "mode": "coupled"}))
+    out = tmp_path / "s"
+    argv = ["simulate", "--scenario", str(path), "--out", str(out), "--slots", "8000"]
+    assert cli.main([*argv, "--warmup", "1234"]) == 0
+    assert results.read_csv(out.with_suffix(".csv"))[0]["sim_warmup_slots"] == 1234
+
+    out = tmp_path / "sw"
+    flags = {"slots": 6000, "warmup": 700, "seed": 11, "replications": 2, "mode": "decoupled"}
+    argv = ["sweep", "--scenario", str(path), "--out", str(out), "--axis", "q2",
+            "--values", "0.3,0.6,0.9", "--with-sim"]
+    assert cli.main([*argv, *(f"--{k}={v}" for k, v in flags.items())]) == 0
+    rows = results.read_csv(out.with_suffix(".csv"))
+    assert len(rows) == 3
+    for row in rows:
+        assert {k: row["sim_warmup_slots" if k == "warmup" else f"sim_{k}"] for k in flags} == flags
+
+
 def test_sweep_q2_tradeoff_in_emitted_rows(write_scenario, tmp_path):
     out = tmp_path / "sweep"
     values = ",".join(str(round(0.1 * k, 1)) for k in range(1, 11))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slot_oracle
@@ -138,6 +138,27 @@ def test_departures_match_sequential_fifo(inputs, chunk, block):
     with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_BLOCK", block):
         e, delivered = sim._departures(a, s1, d)
     assert (e.tolist(), delivered.tolist()) == fifo_departures(a, s1, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=fifo_inputs(), chunk=st.sampled_from([1, 2, 7]))
+def test_chunk_end_is_its_start_plus_length_clamped_to_the_probe_ends(inputs, chunk):
+    # each packet's step g -> min(max(g, lo) + 1, hi) is a clamped shift by
+    # one, so a chunk of L packets maps every start g to
+    # min(max(g + L, low), high), with low and high its ends from lo_0 and hi_0
+    a, s1, d = inputs
+    assume(len(a))
+    L = min(chunk, len(a))
+    m = -(-len(a) // L)
+    lo, hi = sim._success_counts(a, s1, d, L, m)
+    low, high = sim._advance(np.stack((lo[0], hi[0])), lo, hi)
+    for c in range(m):
+        start = np.arange(int(hi[0, c]) + 1)
+        g = start
+        for lo_j, hi_j in zip(lo[:, c].tolist(), hi[:, c].tolist()):
+            g = np.minimum(np.maximum(g, lo_j) + 1, hi_j)
+        assert (g[lo[0, c]], g[-1]) == (low[c], high[c])
+        assert g.tolist() == np.minimum(np.maximum(start + L, low[c]), high[c]).tolist()
 
 
 EDGES = [
