@@ -1,10 +1,13 @@
 """Finite discrete-time Markov chain utilities.
 
-Dense chains of up to a few thousand states. The stationary solver
-checks the transition pattern for a unique closed class by numpy
-reachability and then makes one dense LU solve, O(n^3). It is the only
-solver in the package; the least-squares solve and power iteration it
-is checked against live in tests/chain_oracle.py.
+Dense chains of up to a few thousand states, solved as a (k, n, n)
+stack of chains of one size; a single chain is the stack of one. The
+stack is checked matrix by matrix (entry bounds, row sums), each
+distinct zero pattern is checked once for a unique closed class by
+numpy reachability, and one dense LU call then solves every matrix of
+the stack, O(k n^3). It is the only solver in the package; the
+least-squares solve and power iteration it is checked against live in
+tests/chain_oracle.py.
 """
 
 from __future__ import annotations
@@ -19,6 +22,45 @@ ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
+def _at(index: int, exc: Exception) -> Exception:
+    """exc, marked with the position in its stack of the matrix that failed."""
+    exc.index = index
+    return exc
+
+
+def check_stack(entries) -> np.ndarray:
+    """A (k, n, n) stack of transition matrices as a float array, checked matrix by matrix.
+
+    Every entry must lie in [0, 1] and every row must sum to 1 within
+    ROW_SUM_TOL. The first matrix that fails raises NotStochasticError,
+    with the message a single matrix would give and that matrix's
+    position in the stack as the error's index attribute.
+    """
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise NotStochasticError(
+            f"transition matrices must be a stack of square matrices, got shape {m.shape}"
+        )
+    # written so that a NaN, which fails every comparison, fails the checks
+    in_range = (m.min(axis=(1, 2)) >= 0.0) & (m.max(axis=(1, 2)) <= 1.0)
+    row_err = np.abs(m.sum(axis=2) - 1.0)
+    bad = np.flatnonzero(~(in_range & (row_err <= ROW_SUM_TOL).all(axis=1)))
+    if len(bad):
+        i = int(bad[0])
+        if not in_range[i]:
+            raise _at(i, NotStochasticError("transition matrix entries must lie in [0, 1]"))
+        worst = int(np.argmax(row_err[i]))
+        raise _at(i, NotStochasticError(
+            f"row {worst} sums to {m[i, worst].sum()!r}, off by more than {ROW_SUM_TOL}"
+        ))
+    return m
+
+
+def _distributions(p: np.ndarray) -> np.ndarray:
+    """Whether each vector along p's last axis is nonnegative and sums to 1; NaN fails."""
+    return (p.min(axis=-1) >= 0.0) & (np.abs(p.sum(axis=-1) - 1.0) <= ROW_SUM_TOL)
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic transition matrix; entries[i, j] = P(i -> j)."""
@@ -29,15 +71,7 @@ class StochasticMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise NotStochasticError(f"transition matrix must be square, got shape {m.shape}")
-        # written so that a NaN, which fails every comparison, fails the checks
-        if not (m.min() >= 0.0 and m.max() <= 1.0):
-            raise NotStochasticError("transition matrix entries must lie in [0, 1]")
-        row_err = np.abs(m.sum(axis=1) - 1.0)
-        if not (row_err <= ROW_SUM_TOL).all():
-            worst = int(np.argmax(row_err))
-            raise NotStochasticError(
-                f"row {worst} sums to {m[worst].sum()!r}, off by more than {ROW_SUM_TOL}"
-            )
+        check_stack(m[None])
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -55,7 +89,7 @@ class StationaryDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or not (len(p) and p.min() >= 0.0 and abs(p.sum() - 1.0) <= ROW_SUM_TOL):
+        if p.ndim != 1 or not (len(p) and _distributions(p)):
             raise ConvergenceError("stationary vector must be nonnegative and sum to 1")
         p = p.copy()
         p.setflags(write=False)
@@ -101,45 +135,115 @@ def _unique_closed_class(mask: np.ndarray) -> bool:
         r = int(escape[0])
 
 
-def _check_residual(pi: np.ndarray, m: StochasticMatrix, context: str) -> None:
-    residual = float(np.max(np.abs(pi @ m.entries - pi)))
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"{context}: stationarity residual {residual:g} exceeds {RESIDUAL_TOL:g}")
+def _first_reducible(p: np.ndarray) -> int:
+    """Position of the first matrix of the stack with several closed classes, or len(p).
 
-
-def stationary(m: StochasticMatrix) -> StationaryDistribution:
-    """Unique stationary distribution via a direct linear solve.
-
-    Solves the square system P^T - I with its last balance row replaced
-    by the normalisation row sum(pi) = 1 (W. J. Stewart, Introduction to
-    the Numerical Solution of Markov Chains, 1994). The balance rows sum
-    to zero, so with a single closed class any one of them is redundant
-    and the system is nonsingular. Raises NotIrreducibleError when the
-    chain has more than one closed class (the solution would not be
-    unique), and ConvergenceError when the solve fails or its result
-    is not a stationary distribution.
+    Matrices with one zero pattern share one reachability check.
     """
-    if not _unique_closed_class(m.entries > 0.0):
-        raise NotIrreducibleError("chain has multiple closed classes; stationary vector not unique")
-    n = m.n
+    if len(p) == 1:
+        # a pattern key would be a copy of the mask that no later matrix reads
+        return int(_unique_closed_class(p[0] > 0.0))
+    verdicts: dict[bytes, bool] = {}
+    for i, mask in enumerate(p > 0.0):
+        key = mask.tobytes()
+        if key not in verdicts:
+            verdicts[key] = _unique_closed_class(mask)
+        if not verdicts[key]:
+            return i
+    return len(p)
+
+
+def _solve(p: np.ndarray) -> np.ndarray:
+    """stationary_stack of a stack that check_stack has passed."""
+    n = p.shape[1]
+    k = _first_reducible(p)
+    failure = None
+    if k < len(p):
+        failure = _at(
+            k,
+            NotIrreducibleError("chain has multiple closed classes; stationary vector not unique"),
+        )
+    # only the matrices before the first failure are solved; each system is
     # built as its transpose, P - I with the last column set to 1, in row
-    # order: a_t.T is then column-major, LAPACK's layout, and the solve
+    # order: a_t[i].T is then column-major, LAPACK's layout, and the solve
     # copies it without transposing
-    a_t = m.entries.copy()
-    a_t.flat[:: n + 1] -= 1.0
-    a_t[:, -1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    p = p[:k]
+    a_t = p.copy()
+    a_t.reshape(k, n * n)[:, :: n + 1] -= 1.0
+    a_t[:, :, -1] = 1.0
+    # b is a stack of one single-column matrix: numpy 2 reads a 1-D b as
+    # one vector for every matrix, numpy 1 only a b of one dimension fewer
+    # than the stack, as a vector per matrix; a b of a stack's rank means
+    # the same to both
+    b = np.zeros((1, n, 1))
+    b[0, -1] = 1.0
     try:
-        pi = np.linalg.solve(a_t.T, b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"direct solve failed: {exc}") from exc
+        pi = np.linalg.solve(a_t.transpose(0, 2, 1), b)[..., 0]
+    except np.linalg.LinAlgError:
+        # some matrix is singular: solve one at a time up to the first that is
+        rows = []
+        for i, a in enumerate(a_t):
+            try:
+                rows.append(np.linalg.solve(a.T, b[0])[:, 0])
+            except np.linalg.LinAlgError as exc:
+                failure = _at(i, ConvergenceError(f"direct solve failed: {exc}"))
+                break
+        pi = np.array(rows).reshape(len(rows), n)
+        p = p[: len(rows)]
     # the solve leaves O(1e-16) round-off on states whose true mass is zero;
     # scrub everything below its noise floor so degenerate cases
     # (absorbing empty queue, unreachable states) come out exact
     pi[np.abs(pi) < 1e-13] = 0.0
-    if np.any(pi < 0.0):
-        raise ConvergenceError(f"direct solve produced a negative probability: {pi.min()!r}")
-    pi /= pi.sum()
-    _check_residual(pi, m, "direct solve")
-    return StationaryDistribution(pi)
+    lowest = pi.min(axis=1)
+    pi /= pi.sum(axis=1, keepdims=True)
+    residual = np.abs(np.matmul(pi[:, None, :], p)[:, 0, :] - pi).max(axis=1)
+    bad = np.flatnonzero((lowest < 0.0) | (residual > RESIDUAL_TOL) | ~_distributions(pi))
+    if len(bad):
+        i = int(bad[0])
+        if lowest[i] < 0.0:
+            failure = ConvergenceError(
+                f"direct solve produced a negative probability: {lowest[i]!r}"
+            )
+        elif residual[i] > RESIDUAL_TOL:
+            failure = ConvergenceError(
+                f"direct solve: stationarity residual {residual[i]:g} exceeds {RESIDUAL_TOL:g}"
+            )
+        else:
+            failure = ConvergenceError("stationary vector must be nonnegative and sum to 1")
+        raise _at(i, failure)
+    if failure is not None:
+        raise failure
+    return pi
+
+
+def stationary_stack(entries) -> np.ndarray:
+    """Unique stationary distributions of a (k, n, n) stack, one row per matrix.
+
+    Each matrix P is solved as the square system P^T - I with its last
+    balance row replaced by the normalisation row sum(pi) = 1 (W. J.
+    Stewart, Introduction to the Numerical Solution of Markov Chains,
+    1994). The balance rows sum to zero, so with a single closed class
+    any one of them is redundant and the system is nonsingular. One LU
+    call solves the whole stack, and each row is the vector a single
+    solve of its matrix gives, bit for bit.
+
+    The stack is checked as check_stack does. The first matrix that
+    fails raises what a single solve of it would raise, with its
+    position in the stack as the error's index attribute:
+    NotIrreducibleError when it has more than one closed class (its
+    solution would not be unique), and ConvergenceError when its solve
+    fails or its result is not a stationary distribution.
+    """
+    try:
+        p = check_stack(entries)
+    except NotStochasticError as exc:
+        # a matrix before the first one that is not stochastic may fail first
+        if hasattr(exc, "index"):
+            _solve(np.asarray(entries, dtype=float)[: exc.index])
+        raise
+    return _solve(p)
+
+
+def stationary(m: StochasticMatrix) -> StationaryDistribution:
+    """Unique stationary distribution of one chain: stationary_stack of a stack of one."""
+    return StationaryDistribution(_solve(m.entries[None])[0])

@@ -5,7 +5,9 @@ The evaluation order is a feed-forward chain with no fixed point: user
 probability, the queue solution then gives the busy probability that
 shapes user 2's service, and the age metrics follow from that.
 user1_service and user2_service hold the chain's only formulas for p1,
-mu1, p2 and mu2; analyze and the simulator both call them.
+mu1, p2 and mu2; analyze and the simulator both call them. analyze is a
+one-point sweep, and a sweep solves the queues of the points that share
+a deadline together.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 from . import channel
 from .aoi import AoiParams, aoi_violation, average_aoi
 from .channel import LinkParams, ReceiverParams, SuccessProbs
-from .deadline_queue import QueueMetrics, QueueParams, _check_prob, queue_metrics
+from .deadline_queue import QueueMetrics, _check_deadline, _check_prob, queue_metrics_stack
 from .errors import ParameterError
 
 # the ages x at which every report gives P(A > x)
@@ -46,8 +48,7 @@ class SystemParams:
         _check_prob("q1", self.q1)
         _check_prob("q2", self.q2)
         _check_prob("arrival_prob", self.arrival_prob)
-        if not isinstance(self.deadline, int) or self.deadline < 1:
-            raise ParameterError(f"deadline must be an integer >= 1, got {self.deadline!r}")
+        _check_deadline(self.deadline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +99,35 @@ def user2_service(
     return p2, params.q2 * p2
 
 
-def analyze(params: SystemParams) -> AnalyticalReport:
-    """Run the full closed-form pipeline and collect every output.
+def _reports(points: list[SystemParams]) -> list[AnalyticalReport]:
+    """The full closed-form pipeline for every point, in input order.
 
     p1 and mu1 come from user1_service, the queue from mu1, and p2 and
-    mu2 from user2_service at the queue's busy probability.
+    mu2 from user2_service at the queue's busy probability. The points
+    that share a deadline have their queues solved together, in one
+    stacked solve.
     """
-    sp = channel.success_probs(params.link1, params.link2, params.rx)
-    p1, mu1 = user1_service(params, sp)
-    queue = queue_metrics(QueueParams(params.arrival_prob, mu1, params.deadline))
+    sps = [channel.success_probs(p.link1, p.link2, p.rx) for p in points]
+    services = [user1_service(p, sp) for p, sp in zip(points, sps)]
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault(p.deadline, []).append(i)
+    queues: list = [None] * len(points)
+    for d, members in groups.items():
+        solved = queue_metrics_stack(
+            [points[i].arrival_prob for i in members], [services[i][1] for i in members], d
+        )
+        for i, queue in zip(members, solved):
+            queues[i] = queue
+    return [
+        _report(p, sp, p1, mu1, queue)
+        for p, sp, (p1, mu1), queue in zip(points, sps, services, queues)
+    ]
+
+
+def _report(
+    params: SystemParams, sp: SuccessProbs, p1: float, mu1: float, queue: QueueMetrics
+) -> AnalyticalReport:
     p2, mu2 = user2_service(params, sp, queue.busy_prob)
     delta = channel.mpr_strength(sp) if sp.p_1_solo > 0.0 and sp.p_2_solo > 0.0 else None
     aoi_params = AoiParams(mu2)
@@ -125,15 +146,20 @@ def analyze(params: SystemParams) -> AnalyticalReport:
     )
 
 
+def analyze(params: SystemParams) -> AnalyticalReport:
+    """Run the full closed-form pipeline and collect every output: a one-point sweep."""
+    return _reports([params])[0]
+
+
 def apply_axis(base: SystemParams, axis: str, value) -> SystemParams:
     """A copy of base with one swept parameter replaced."""
     if axis == "q1":
         return replace(base, q1=float(value))
     if axis == "q2":
         return replace(base, q2=float(value))
-    if axis in ("lambda", "arrival_prob"):
+    if axis == "lambda":
         return replace(base, arrival_prob=float(value))
-    if axis in ("d", "deadline"):
+    if axis == "d":
         if not float(value).is_integer():
             raise ParameterError(f"deadline sweep values must be integers, got {value!r}")
         return replace(base, deadline=int(value))
@@ -150,8 +176,21 @@ def apply_axis(base: SystemParams, axis: str, value) -> SystemParams:
 
 
 def sweep(base: SystemParams, axis: str, values) -> list[AnalyticalReport]:
-    """Analyze one report per value, in input order."""
+    """Analyze one report per value, in input order.
+
+    The points of one deadline are solved in one stacked call. When a
+    point fails, the error raised is that of the first failing point,
+    as if the points were analyzed one at a time.
+    """
     values = list(values)
     if not values:
         raise ParameterError("sweep values must not be empty")
-    return [analyze(apply_axis(base, axis, v)) for v in values]
+    try:
+        return _reports([apply_axis(base, axis, v) for v in values])
+    except Exception:
+        # the stacked pass builds every point before it solves any and stops
+        # at the first failure it meets, which need not be the first
+        # point's: rerun point by point to find that one
+        for v in values:
+            _reports([apply_axis(base, axis, v)])
+        raise

@@ -13,6 +13,7 @@ sqrt(1e6/slots) when a different horizon is requested.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -21,14 +22,14 @@ import numpy as np
 
 from .channel import LinkParams, ReceiverParams, db_to_linear, success_probs
 from .deadline_queue import (
-    QueueParams,
+    LUMP_TOL,
     action_partition,
-    build_2d_action_chain,
-    build_waiting_time_matrix,
-    verify_lumpability,
+    build_2d_action_stack,
+    build_waiting_time_stack,
+    verify_lumpability_stack,
 )
 from .errors import ParameterError
-from .markov import stationary
+from .markov import stationary_stack
 from .sim import (
     DEFAULT_MIN_VISITS,
     CoupledRun,
@@ -155,60 +156,75 @@ def check_analytical_vs_decoupled(
 
 
 def check_lumpability() -> CheckResult:
-    combos = 0
-    worst_entry = 0.0
-    worst_busy = 0.0
-    failures = []
+    """Lump the joint action chain of every grid combination onto user 1's chain.
+
+    Each combination's joint chain must be lumpable, its lumped chain
+    must equal the waiting-time chain built directly at user 1's mu1,
+    and both must give the same busy probability. The combinations of
+    one deadline are built, lumped and solved as stacks.
+    """
+    # listed, and their failures reported, in the order gamma_db, lam, q1, q2, d
+    grid = list(
+        itertools.product(
+            LUMP_GRID_GAMMA_DB, LUMP_GRID_LAM, LUMP_GRID_Q1, LUMP_GRID_Q2, LUMP_GRID_D
+        )
+    )
+    # user 1's chains with user 2 silent and active are its chains at
+    # q2 = 0 and q2 = 1, so they do not depend on the grid's q2
+    mu = {}
     for gamma_db in LUMP_GRID_GAMMA_DB:
         base = reference_params(gamma_db, 0.5, 0.5, 0.5, 1)
         sp = success_probs(base.link1, base.link2, base.rx)
-        for lam in LUMP_GRID_LAM:
-            for q1 in LUMP_GRID_Q1:
-                # user 1's chains with user 2 silent and active are its chains
-                # at q2 = 0 and q2 = 1, so they do not depend on the grid's q2
-                mus = [user1_service(replace(base, q1=q1, q2=x), sp)[1] for x in (0.0, 1.0)]
-                sampled = {
-                    d: [build_waiting_time_matrix(QueueParams(lam, mu, d)) for mu in mus]
-                    for d in LUMP_GRID_D
-                }
-                for q2 in LUMP_GRID_Q2:
-                    _, mu1 = user1_service(replace(base, q1=q1, q2=q2), sp)
-                    for d in LUMP_GRID_D:
-                        combos += 1
-                        qp = QueueParams(lam, mu1, d)
-                        chain2d = build_2d_action_chain(*sampled[d], q2)
-                        rep = verify_lumpability(chain2d, action_partition(d))
-                        direct = build_waiting_time_matrix(qp)
-                        if not rep.lumpable:
-                            failures.append({"lam": lam, "q1": q1, "q2": q2, "d": d})
-                            continue
-                        entry_gap = float(
-                            np.max(np.abs(rep.lumped.entries - direct.entries))
-                        )
-                        busy_gap = abs(
-                            (1.0 - stationary(rep.lumped)[0]) - (1.0 - stationary(direct)[0])
-                        )
-                        worst_entry = max(worst_entry, entry_gap)
-                        worst_busy = max(worst_busy, busy_gap)
-                        if entry_gap > 1e-12 or busy_gap > 1e-10:
-                            failures.append(
-                                {
-                                    "lam": lam,
-                                    "q1": q1,
-                                    "q2": q2,
-                                    "d": d,
-                                    "gamma_db": gamma_db,
-                                    "entry_gap": entry_gap,
-                                    "busy_gap": busy_gap,
-                                }
-                            )
+        for q1 in LUMP_GRID_Q1:
+            for q2 in (0.0, 1.0, *LUMP_GRID_Q2):
+                mu[gamma_db, q1, q2] = user1_service(replace(base, q1=q1, q2=q2), sp)[1]
+    spread = np.empty(len(grid))
+    entry_gap = np.zeros(len(grid))
+    busy_gap = np.zeros(len(grid))
+    for d in LUMP_GRID_D:
+        cells = np.array([i for i, c in enumerate(grid) if c[4] == d])
+        combos = [grid[i] for i in cells]
+        # one silent and one active chain per (gamma_db, lam, q1), side by side
+        keys = dict.fromkeys(c[:3] for c in combos)
+        sampled = build_waiting_time_stack(
+            [lam for _, lam, _ in keys for _ in (0, 1)],
+            [mu[g, q1, x] for g, _, q1 in keys for x in (0.0, 1.0)],
+            d,
+        )
+        silent_at = {key: 2 * j for j, key in enumerate(keys)}
+        silent = np.array([silent_at[c[:3]] for c in combos])
+        chain2d = build_2d_action_stack(
+            sampled[silent], sampled[silent + 1], [c[3] for c in combos]
+        )
+        deviation, lumped = verify_lumpability_stack(chain2d, action_partition(d))
+        spread[cells] = deviation
+        direct = build_waiting_time_stack(
+            [c[1] for c in combos], [mu[g, q1, q2] for g, _, q1, q2, _ in combos], d
+        )
+        ok = deviation <= LUMP_TOL
+        lumped, direct = lumped[ok], direct[ok]
+        entry_gap[cells[ok]] = np.abs(lumped - direct).max(axis=(1, 2))
+        busy_gap[cells[ok]] = np.abs(
+            (1.0 - stationary_stack(lumped)[:, 0]) - (1.0 - stationary_stack(direct)[:, 0])
+        )
+    lumpable = spread <= LUMP_TOL
+    failures = []
+    for i, (gamma_db, lam, q1, q2, d) in enumerate(grid):
+        cell = {"lam": lam, "q1": q1, "q2": q2, "d": d, "gamma_db": gamma_db}
+        if not lumpable[i]:
+            failures.append({**cell, "max_deviation": float(spread[i])})
+        elif entry_gap[i] > 1e-12 or busy_gap[i] > 1e-10:
+            failures.append(
+                {**cell, "entry_gap": float(entry_gap[i]), "busy_gap": float(busy_gap[i])}
+            )
     return CheckResult(
         name="lumpability",
         passed=not failures,
         details={
-            "combinations": combos,
-            "worst_entry_gap": worst_entry,
-            "worst_busy_gap": worst_busy,
+            "combinations": len(grid),
+            "worst_entry_gap": float(entry_gap.max()),
+            "worst_busy_gap": float(busy_gap.max()),
+            "worst_block_spread": float(spread.max()),
             "failures": failures,
         },
     )

@@ -18,7 +18,15 @@ import numpy as np
 from aoi_access.aoi import AoiParams
 from aoi_access.deadline_queue import LUMP_TOL, LumpabilityReport, QueueParams
 from aoi_access.errors import ConvergenceError, NotIrreducibleError, ParameterError, PartitionError
-from aoi_access.markov import StationaryDistribution, StochasticMatrix, _check_residual
+from aoi_access.markov import RESIDUAL_TOL, StationaryDistribution, StochasticMatrix
+
+
+def _check_residual(pi: np.ndarray, m: StochasticMatrix, context: str) -> None:
+    residual = float(np.max(np.abs(pi @ m.entries - pi)))
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"{context}: stationarity residual {residual:g} exceeds {RESIDUAL_TOL:g}"
+        )
 
 
 def build_waiting_time_matrix(p: QueueParams) -> np.ndarray:

@@ -9,11 +9,16 @@ from aoi_access.channel import SuccessProbs
 from aoi_access.deadline_queue import (
     QueueParams,
     action_partition,
+    build_2d_action_chain,
+    build_2d_action_stack,
     build_waiting_time_matrix,
+    build_waiting_time_stack,
     queue_metrics,
+    queue_metrics_stack,
     verify_lumpability,
+    verify_lumpability_stack,
 )
-from aoi_access.errors import ParameterError, PartitionError
+from aoi_access.errors import NotIrreducibleError, ParameterError, PartitionError
 from aoi_access.markov import StochasticMatrix, stationary
 
 from conftest import action_chain
@@ -76,6 +81,44 @@ def test_build_equals_entrywise_loop_build(lam, mu, d):
     p = QueueParams(lam, mu, d)
     built = build_waiting_time_matrix(p).entries
     assert np.array_equal(built, chain_oracle.build_waiting_time_matrix(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(probs, probs), min_size=1, max_size=8), d=st.integers(1, 12))
+def test_stacked_build_equals_per_point_build(points, d):
+    lams, mus = zip(*points)
+    stack = build_waiting_time_stack(lams, mus, d)
+    assert stack.shape == (len(points), d + 1, d + 1)
+    for m, (lam, mu) in zip(stack, points):
+        p = QueueParams(lam, mu, d)
+        assert np.array_equal(m, build_waiting_time_matrix(p).entries)
+        assert np.array_equal(m, chain_oracle.build_waiting_time_matrix(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(probs, probs), min_size=1, max_size=8), d=st.integers(1, 12))
+def test_stacked_queue_metrics_equal_per_point_metrics(points, d):
+    lams, mus = zip(*points)
+    try:
+        want = [queue_metrics(QueueParams(lam, mu, d)) for lam, mu in points]
+    except NotIrreducibleError as exc:
+        with pytest.raises(NotIrreducibleError, match=str(exc)):
+            queue_metrics_stack(list(lams), list(mus), d)
+        return
+    for got, one in zip(queue_metrics_stack(list(lams), list(mus), d), want):
+        assert np.array_equal(got.stationary.probs, one.stationary.probs)
+        assert (got.drop_rate, got.per_packet_drop_prob, got.throughput, got.busy_prob) == (
+            one.drop_rate, one.per_packet_drop_prob, one.throughput, one.busy_prob
+        )
+
+
+def test_stacked_build_rejects_bad_points():
+    with pytest.raises(ParameterError, match="service_prob"):
+        build_waiting_time_stack([0.5, 0.5], [0.5, 1.5], 3)
+    with pytest.raises(ParameterError, match="deadline"):
+        build_waiting_time_stack([0.5], [0.5], 0)
+    with pytest.raises(ParameterError):
+        build_waiting_time_stack([0.5, 0.5], [0.5], 3)
 
 
 def closed_form_stationary(lam, mu, d):
@@ -321,3 +364,34 @@ def test_action_partition_lumps_exactly_as_block_loop_oracle(lam, q1, q2, solo, 
     assert got.lumpable and want.lumpable
     assert got.max_deviation == want.max_deviation
     assert np.array_equal(got.lumped.entries, want.lumped.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(probs, probs, probs, probs), min_size=1, max_size=6
+    ),
+    d=st.integers(1, 12),
+)
+def test_stacked_action_chain_and_lumpability_equal_per_chain_results(cells, d):
+    lams, silent_mus, active_mus, q2s = zip(*cells)
+    silent = build_waiting_time_stack(lams, silent_mus, d)
+    active = build_waiting_time_stack(lams, active_mus, d)
+    chains = build_2d_action_stack(silent, active, q2s)
+    spread, lumped = verify_lumpability_stack(chains, action_partition(d))
+    for i, q2 in enumerate(q2s):
+        one = build_2d_action_chain(StochasticMatrix(silent[i]), StochasticMatrix(active[i]), q2)
+        assert np.array_equal(chains[i], one.entries)
+        want = chain_oracle.verify_lumpability(one, action_partition(d))
+        assert spread[i] == want.max_deviation
+        assert np.array_equal(lumped[i], want.lumped.entries)
+
+
+def test_stacked_action_chain_rejects_mismatched_shapes():
+    m = build_waiting_time_stack([0.5, 0.5], [0.5, 0.5], 3)
+    with pytest.raises(ParameterError):
+        build_2d_action_stack(m, m, [0.5])
+    with pytest.raises(ParameterError):
+        build_2d_action_stack(m, build_waiting_time_stack([0.5, 0.5], [0.5, 0.5], 2), [0.5, 0.5])
+    with pytest.raises(ParameterError, match="q2"):
+        build_2d_action_stack(m, m, [0.5, 1.5])

@@ -11,9 +11,19 @@ from hypothesis import strategies as st
 import aoi_access
 import chain_oracle
 from aoi_access import markov
-from aoi_access.deadline_queue import QueueParams, build_waiting_time_matrix
+from aoi_access.deadline_queue import (
+    QueueParams,
+    build_waiting_time_matrix,
+    build_waiting_time_stack,
+)
 from aoi_access.errors import ConvergenceError, NotIrreducibleError, NotStochasticError
-from aoi_access.markov import StationaryDistribution, StochasticMatrix, stationary
+from aoi_access.markov import (
+    StationaryDistribution,
+    StochasticMatrix,
+    check_stack,
+    stationary,
+    stationary_stack,
+)
 from chain_oracle import stationary_power_iteration
 
 
@@ -171,6 +181,121 @@ def test_stationary_matches_lstsq_and_power_iteration(m):
     assert np.max(np.abs(got.probs - power.probs)) <= 1e-9
 
 
+def leaky_singular(n):
+    """A chain with one closed class whose LU system is exactly singular.
+
+    State 0 keeps a self-loop that rounds to 1 and leaks 1e-17 into the
+    irreducible rest, which never returns: P - I then has a zero first
+    column.
+    """
+    m = np.zeros((n, n))
+    m[0, 0] = 1.0
+    m[0, 1] = 1e-17
+    m[1:, 1:] = 1.0 / (n - 1)
+    return m
+
+
+@st.composite
+def stacks(draw):
+    """Stacks of chains of one size that mix their members' kinds.
+
+    Members reuse one zero pattern with new weights or draw their own;
+    some have several closed classes, an exactly singular LU system, or
+    a row that does not sum to 1.
+    """
+    n = draw(st.integers(1, 7))
+    shared = draw(patterns(max_n=n).filter(lambda mask: len(mask) == n))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["shared", "shared", "own", "reducible", "singular", "rows"]))
+        mask = shared if kind in ("shared", "rows") else draw(
+            patterns(max_n=n).filter(lambda mask: len(mask) == n)
+        )
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+        m = np.array(weights).reshape(n, n) * mask
+        m /= m.sum(axis=1, keepdims=True)
+        if kind == "reducible":
+            m = np.eye(n)
+        elif kind == "singular" and n > 1:
+            m = leaky_singular(n)
+        elif kind == "rows":
+            m[draw(st.integers(0, n - 1))] *= 0.5
+        members.append(m)
+    return np.array(members)
+
+
+def first_single_failure(stack):
+    """(index, error) of the first member that fails on its own, or None."""
+    for i, m in enumerate(stack):
+        try:
+            stationary(StochasticMatrix(m))
+        except (NotStochasticError, NotIrreducibleError, ConvergenceError) as exc:
+            return i, exc
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=stacks())
+@example(stack=np.array([np.full((3, 3), 1 / 3), leaky_singular(3), np.eye(3)]))
+@example(stack=np.array([np.full((3, 3), 1 / 3), np.eye(3), leaky_singular(3)]))
+def test_stacked_solve_matches_single_solves_and_oracle(stack):
+    failure = first_single_failure(stack)
+    if failure is None:
+        got = stationary_stack(stack)
+        for m, row in zip(stack, got):
+            chain = StochasticMatrix(m)
+            assert np.array_equal(row, stationary(chain).probs)
+            assert np.max(np.abs(row - chain_oracle.stationary(chain).probs)) <= 1e-11
+        return
+    index, want = failure
+    with pytest.raises(type(want)) as raised:
+        stationary_stack(stack)
+    assert str(raised.value) == str(want)
+    assert raised.value.index == index
+    if isinstance(want, NotIrreducibleError):
+        assert chain_oracle.closed_class_count(stack[index] > 0.0) > 1
+    for m in stack[:index]:
+        chain = StochasticMatrix(m)
+        want = chain_oracle.stationary(chain).probs
+        assert np.max(np.abs(stationary(chain).probs - want)) <= 1e-11
+
+
+def test_stack_raises_the_first_of_several_failed_solves():
+    # near saturation the LU solve of a d = 100 chain leaves negative mass
+    probs = [0.5, 1.0 - 1e-13, 1.0 - 2e-13]
+    stack = build_waiting_time_stack(probs, probs, 100)
+    index, want = first_single_failure(stack)
+    assert index == 1
+    assert str(want) != str(first_single_failure(stack[2:])[1])
+    with pytest.raises(ConvergenceError, match="negative probability") as raised:
+        stationary_stack(stack)
+    assert (str(raised.value), raised.value.index) == (str(want), index)
+
+
+def test_stack_checks_each_zero_pattern_once(monkeypatch):
+    checked = []
+    check = markov._unique_closed_class
+
+    def counting(mask):
+        checked.append(mask.copy())
+        return check(mask)
+
+    monkeypatch.setattr(markov, "_unique_closed_class", counting)
+    rng = np.random.default_rng(4)
+    dense = [random_positive_chain(rng, 4).entries for _ in range(3)]
+    banded = build_waiting_time_matrix(QueueParams(0.5, 0.5, 3)).entries
+    stationary_stack([dense[0], banded, dense[1], banded, dense[2]])
+    assert len(checked) == 2
+
+
+def test_stack_rejects_a_non_stack():
+    with pytest.raises(NotStochasticError, match="stack of square matrices"):
+        check_stack(np.full((2, 2), 0.5))
+    with pytest.raises(NotStochasticError, match="stack of square matrices"):
+        check_stack(np.full((1, 2, 3), 1 / 3))
+    assert stationary_stack(np.zeros((0, 2, 2))).shape == (0, 2)
+
+
 def test_failed_solve_is_a_convergence_error(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -178,6 +303,29 @@ def test_failed_solve_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(markov.np.linalg, "solve", singular)
     with pytest.raises(ConvergenceError):
         stationary(StochasticMatrix([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_solve_shapes_hold_under_numpy_1_broadcasting(monkeypatch):
+    # numpy 1 reads b as a stack of vectors only when it has one dimension
+    # fewer than a, and otherwise needs b to be a (stack of) matrices
+    solve = np.linalg.solve
+
+    def numpy_1_solve(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        if b.ndim < 2:
+            raise ValueError("Input operand 1 does not have enough dimensions")
+        return solve(a, b)
+
+    stack = build_waiting_time_stack([0.3, 0.6, 0.9], [0.5, 0.4, 0.7], 4)
+    want = stationary_stack(stack)
+    monkeypatch.setattr(markov.np.linalg, "solve", numpy_1_solve)
+    assert np.array_equal(stationary_stack(stack), want)
+    assert np.array_equal(stationary(StochasticMatrix(stack[1])).probs, want[1])
+    with pytest.raises(ConvergenceError) as raised:
+        stationary_stack(np.array([stack[0], leaky_singular(5)]))
+    assert raised.value.index == 1
 
 
 def test_import_does_not_load_scipy():

@@ -1,12 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aoi_access import deadline_queue
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import QueueParams, queue_metrics
-from aoi_access.errors import ParameterError
-from aoi_access.system import analyze, apply_axis, sweep, user1_service, user2_service
+from aoi_access.errors import NotIrreducibleError, ParameterError
+from aoi_access.system import (
+    SWEEP_AXES,
+    analyze,
+    apply_axis,
+    sweep,
+    user1_service,
+    user2_service,
+)
 
 from conftest import channel_probs, make_params
 
@@ -148,6 +157,89 @@ def test_sweep_rejects_unknown_axis_and_empty_values():
         sweep(base, "q1", [])
     with pytest.raises(ParameterError):
         sweep(base, "d", [1.5])
+    for alias in ("arrival_prob", "deadline"):
+        with pytest.raises(ParameterError, match="unknown sweep axis"):
+            sweep(base, alias, [1])
+
+
+SWEEP_VALUES = {
+    "q1": [0.0, 0.3, 1.0, 0.3],
+    "q2": [1.0, 0.25, 0.0, 0.6],
+    "lambda": [0.5, 0.0, 1.0, 0.05],
+    "d": [4, 1, 4, 2],
+    "gamma": [0.5, 1.0, 2.0],
+    "gamma_db": [-5.0, 0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_reports_equal_one_point_analyses(axis):
+    base = make_params(gamma_db=1.0, q1=0.6, q2=0.4, arrival_prob=0.7, deadline=5)
+    values = SWEEP_VALUES[axis]
+    for v, got in zip(values, sweep(base, axis, values), strict=True):
+        want = analyze(apply_axis(base, axis, v))
+        assert got.params == want.params
+        assert np.array_equal(got.queue.stationary.probs, want.queue.stationary.probs)
+        for name in ("sp", "p1", "p2", "mu1", "mu2", "delta", "mpr_strong", "aoi_average",
+                     "aoi_violation"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("drop_rate", "per_packet_drop_prob", "throughput", "busy_prob"):
+            assert getattr(got.queue, name) == getattr(want.queue, name), name
+
+
+def test_sweep_raises_the_first_failing_points_error():
+    # user 1 always succeeds, so at lambda = 1 every age from 1 up is absorbing
+    base = make_params(gamma_db=-3000.0, q1=1.0, q2=0.0, deadline=3)
+    with pytest.raises(NotIrreducibleError):
+        analyze(apply_axis(base, "lambda", 1.0))
+    # the stacked pass meets the 4th point's bad value before it solves the 2nd
+    with pytest.raises(NotIrreducibleError):
+        sweep(base, "lambda", [0.5, 1.0, 0.5, 1.5])
+    with pytest.raises(ParameterError, match="arrival_prob"):
+        sweep(base, "lambda", [0.5, 1.5, 0.5, 1.0])
+    # a later point that cannot even be built does not mask an earlier failure
+    base = replace(base, arrival_prob=1.0)
+    with pytest.raises(NotIrreducibleError):
+        sweep(base, "gamma_db", [-3000.0, 4000.0])
+
+
+def count_solves(monkeypatch):
+    """Record the size of every stacked and single chain solve that queue metrics make."""
+    solved = []
+    stack, one = deadline_queue.stationary_stack, deadline_queue.stationary
+
+    def counting_stack(entries):
+        solved.append(len(entries))
+        return stack(entries)
+
+    def counting_one(m):
+        solved.append(1)
+        return one(m)
+
+    monkeypatch.setattr(deadline_queue, "stationary_stack", counting_stack)
+    monkeypatch.setattr(deadline_queue, "stationary", counting_one)
+    return solved
+
+
+def test_sweep_solves_once_per_distinct_deadline(monkeypatch):
+    solved = count_solves(monkeypatch)
+    base = make_params()
+    sweep(base, "d", [4, 1, 4, 2])
+    assert solved == [2, 1, 1]
+    solved.clear()
+    sweep(base, "q2", [k / 100 for k in range(101)])
+    assert solved == [101]
+
+
+def test_sweep_splits_a_deadline_into_bounded_stacks(monkeypatch):
+    base = make_params(deadline=3)
+    values = [0.2, 0.4, 0.6, 0.8, 1.0]
+    whole = sweep(base, "q1", values)
+    solved = count_solves(monkeypatch)
+    monkeypatch.setattr(deadline_queue, "STACK_ENTRIES", 2 * 4**2)
+    for got, want in zip(sweep(base, "q1", values), whole, strict=True):
+        assert np.array_equal(got.queue.stationary.probs, want.queue.stationary.probs)
+    assert solved == [2, 2, 1]
 
 
 def test_system_params_validation():

@@ -68,16 +68,55 @@ def test_lumpability_builds_the_sampled_chains_once_per_q2_sweep(monkeypatch):
     # user 1's silent and active chains do not depend on q2; only the
     # direct chain, through mu1, does
     builds = []
-    build = deadline_queue.build_waiting_time_matrix
+    build = deadline_queue.build_waiting_time_stack
 
-    def counting_build(p):
-        builds.append(p)
-        return build(p)
+    def counting_build(lams, mus, d):
+        builds.append(len(lams))
+        return build(lams, mus, d)
 
-    monkeypatch.setattr(deadline_queue, "build_waiting_time_matrix", counting_build)
-    monkeypatch.setattr(validate, "build_waiting_time_matrix", counting_build)
+    monkeypatch.setattr(deadline_queue, "build_waiting_time_stack", counting_build)
+    monkeypatch.setattr(validate, "build_waiting_time_stack", counting_build)
     result = validate.check_lumpability()
     combos = len(LUMP_GRID_GAMMA_DB) * len(LUMP_GRID_LAM) * len(LUMP_GRID_Q1) * len(LUMP_GRID_D)
     assert result.passed
     assert result.details["combinations"] == combos * len(LUMP_GRID_Q2)
-    assert len(builds) == combos * (2 + len(LUMP_GRID_Q2))
+    assert sum(builds) == combos * (2 + len(LUMP_GRID_Q2))
+
+
+def test_lumpability_solves_two_stacks_per_deadline(monkeypatch):
+    solved = []
+    solve = validate.stationary_stack
+
+    def counting_solve(entries):
+        solved.append(len(entries))
+        return solve(entries)
+
+    monkeypatch.setattr(validate, "stationary_stack", counting_solve)
+    result = validate.check_lumpability()
+    per_deadline = (
+        len(LUMP_GRID_GAMMA_DB) * len(LUMP_GRID_LAM) * len(LUMP_GRID_Q1) * len(LUMP_GRID_Q2)
+    )
+    assert solved == [per_deadline] * (2 * len(LUMP_GRID_D))
+    assert result.details["worst_block_spread"] <= deadline_queue.LUMP_TOL
+
+
+def test_not_lumpable_cells_are_reported_with_their_spread(monkeypatch):
+    # a wrong action chain: user 2's action weights swapped on the active half
+    build = deadline_queue.build_2d_action_stack
+
+    def skewed(silent, active, q2):
+        chains = build(silent, active, q2)
+        n = chains.shape[1] // 2
+        chains[:, n:] = chains[:, n:, ::-1]
+        return chains
+
+    monkeypatch.setattr(validate, "build_2d_action_stack", skewed)
+    result = validate.check_lumpability()
+    failures = result.details["failures"]
+    assert not result.passed
+    # the three gamma cells that share lam, q1, q2 and d are told apart
+    keys = {(f["lam"], f["q1"], f["q2"], f["d"], f["gamma_db"]) for f in failures}
+    assert len(keys) == len(failures)
+    assert {f["gamma_db"] for f in failures} == set(LUMP_GRID_GAMMA_DB)
+    assert all(f["max_deviation"] > deadline_queue.LUMP_TOL for f in failures)
+    assert result.details["worst_block_spread"] == max(f["max_deviation"] for f in failures)
