@@ -10,6 +10,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,8 +45,9 @@ def _out_base(arg: str | None, default_stem: str) -> Path:
 def _write_rows(base: Path, rows: list[dict]) -> tuple[Path, Path]:
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    results.write_csv(csv_path, rows)
-    results.write_json(json_path, rows)
+    table = results.encode_rows(rows)
+    results.write_csv(csv_path, table)
+    results.write_json(json_path, table)
     return csv_path, json_path
 
 
@@ -168,7 +170,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if passed else EXIT_FAILURE
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process.
+
+    Parsing leaves the parser as it was: every call fills a fresh
+    namespace from the same defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="aoi-access",
         description=(

@@ -2,12 +2,15 @@
 
 Every row carries the full column set in a fixed order so files from
 different runs line up; simulation columns are empty when a run was
-analytical only. Vector-valued fields (stationary vector, occupancy,
-histogram, violation curve) are embedded as JSON inside their CSV cell.
-An unbounded average age is written as "inf" in CSV and as the tagged
-object {"unbounded": true} in JSON. Writes are atomic: a temp file in
-the target directory is renamed into place, so a failed run never leaves
-a partial file.
+analytical only. encode_rows() encodes a list of rows once, one column
+at a time, and write_csv() and write_json() both write that one
+encoding. A float is written as its shortest round-trip repr, the same
+text in both files. An unbounded average age is written as "inf" in CSV
+and as the tagged object {"unbounded": true} in JSON; NaN is written as
+"nan" in CSV and NaN in JSON. Vector-valued fields (stationary vector, occupancy, histogram,
+violation curve) are embedded as compact JSON inside their CSV cell.
+Writes are atomic: a temp file in the target directory is renamed into
+place, so a failed run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 from .sim import SimulationReport
@@ -169,17 +173,106 @@ def _atomic_write(path: Path, write_fn) -> None:
         raise
 
 
-def _csv_cell(name: str, value) -> str:
-    if value is None:
-        return ""
-    kind = _TYPES[name]
-    if kind == "f":
-        return "inf" if math.isinf(value) else repr(float(value))
-    if kind in ("i", "s"):
-        return str(value)
-    if kind == "b":
-        return "true" if value else "false"
-    return json.dumps(value, separators=(",", ":"))
+# Every JSON text goes through one of two C encoders: the JSON file's
+# default separators, or the compact ones of a CSV container cell.
+_JSON = json.JSONEncoder()
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_UNBOUNDED = _JSON.encode({"unbounded": True})
+# one JSON row: each column's quoted name and a %s for its value's text
+_JSON_ROW = "{" + ", ".join(f"{_JSON.encode(name)}: %s" for name in COLUMN_NAMES) + "}"
+# scalar kinds whose exact type's CSV text is also its JSON text
+_SELF_ENCODED = {"i": int, "b": bool}
+
+
+@dataclass(frozen=True)
+class EncodedRows:
+    """Rows encoded once for both files: a tuple of CSV cell texts and a
+    JSON object text per row."""
+
+    csv_rows: list[tuple[str, ...]]
+    json_rows: list[str]
+
+
+def _float_column(values: list, memo: dict) -> tuple[list[str], list[str]]:
+    """CSV and JSON texts of an f column.
+
+    memo maps a finite nonzero number to repr of it as a float. Zeros stay
+    out of it, since 0.0 == -0.0 and each keeps its own text. A number
+    that is no float (an int, a bool) shares the CSV text of the float it
+    equals but keeps its own JSON text, 1 against 1.0.
+    """
+    csv_cells, json_cells = [], []
+    for v in values:
+        text = memo.get(v)
+        if text is None:
+            if v is None:
+                csv_cells.append("")
+                json_cells.append("null")
+                continue
+            if v != v:
+                csv_cells.append("nan")
+                json_cells.append("NaN")
+                continue
+            if math.isinf(v):
+                csv_cells.append("inf")
+                json_cells.append(_UNBOUNDED)
+                continue
+            text = repr(float(v))
+            if v:
+                memo[v] = text
+        csv_cells.append(text)
+        json_cells.append(text if isinstance(v, float) else _JSON.encode(v))
+    return csv_cells, json_cells
+
+
+def _scalar_column(kind: str, values: list) -> tuple[list[str], list[str]]:
+    """CSV and JSON texts of an i, s or b column."""
+    self_encoded = _SELF_ENCODED.get(kind)
+    csv_cells, json_cells = [], []
+    for v in values:
+        if v is None:
+            csv_cells.append("")
+            json_cells.append("null")
+            continue
+        text = ("true" if v else "false") if kind == "b" else str(v)
+        csv_cells.append(text)
+        json_cells.append(text if v.__class__ is self_encoded else _JSON.encode(v))
+    return csv_cells, json_cells
+
+
+def _container_column(values: list) -> tuple[list[str], list[str]]:
+    """CSV and JSON texts of a j* column.
+
+    The dicts of jff and jii columns have int keys, which the C encoders
+    write as str(key) writes them.
+    """
+    csv_cells = ["" if v is None else _COMPACT.encode(v) for v in values]
+    json_cells = ["null" if v is None else _JSON.encode(v) for v in values]
+    return csv_cells, json_cells
+
+
+def encode_rows(rows: list[dict]) -> EncodedRows:
+    """Encode every row for both files, one column at a time.
+
+    Each distinct float is formatted once per call, and its text serves
+    the CSV cell and the JSON value alike.
+    """
+    memo: dict = {}
+    csv_columns, json_columns = [], []
+    for name, kind in COLUMNS:
+        values = [row[name] for row in rows]
+        if kind == "f":
+            cells = _float_column(values, memo)
+        elif kind.startswith("j"):
+            cells = _container_column(values)
+        else:
+            cells = _scalar_column(kind, values)
+        csv_columns.append(cells[0])
+        json_columns.append(cells[1])
+    return EncodedRows(
+        csv_rows=list(zip(*csv_columns)),
+        json_rows=[_JSON_ROW % cells for cells in zip(*json_columns)],
+    )
 
 
 def _csv_parse(name: str, text: str):
@@ -201,12 +294,11 @@ def _csv_parse(name: str, text: str):
     return value
 
 
-def write_csv(path: str | Path, rows: list[dict]) -> None:
+def write_csv(path: str | Path, table: EncodedRows) -> None:
     def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(COLUMN_NAMES)
-        for row in rows:
-            writer.writerow(_csv_cell(name, row[name]) for name in COLUMN_NAMES)
+        writer.writerows(table.csv_rows)
 
     _atomic_write(Path(path), emit)
 
@@ -223,17 +315,6 @@ def read_csv(path: str | Path) -> list[dict]:
         ]
 
 
-def _json_value(name: str, value):
-    if value is None:
-        return None
-    kind = _TYPES[name]
-    if kind == "f" and math.isinf(value):
-        return {"unbounded": True}
-    if kind in ("jff", "jii"):
-        return {str(k): v for k, v in value.items()}
-    return value
-
-
 def _json_parse(name: str, value):
     if value is None:
         return None
@@ -248,15 +329,9 @@ def _json_parse(name: str, value):
     return value
 
 
-def write_json(path: str | Path, rows: list[dict]) -> None:
-    """{"schema_version": ..., "rows": [...]} with one row per line.
-
-    Each row goes through json.dumps without indent, which takes the C
-    encoder; json.dump and any indent take the pure-Python one.
-    """
-    lines = ",\n".join(
-        json.dumps({name: _json_value(name, row[name]) for name in COLUMN_NAMES}) for row in rows
-    )
+def write_json(path: str | Path, table: EncodedRows) -> None:
+    """{"schema_version": ..., "rows": [...]} with one row per line."""
+    lines = ",\n".join(table.json_rows)
     doc = f'{{"schema_version": {SCHEMA_VERSION}, "rows": [\n{lines}\n]}}\n'
     _atomic_write(Path(path), lambda fh: fh.write(doc))
 

@@ -103,11 +103,19 @@ def _reports(points: list[SystemParams]) -> list[AnalyticalReport]:
     """The full closed-form pipeline for every point, in input order.
 
     p1 and mu1 come from user1_service, the queue from mu1, and p2 and
-    mu2 from user2_service at the queue's busy probability. The points
+    mu2 from user2_service at the queue's busy probability. The success
+    probabilities are computed once per distinct channel, and the points
     that share a deadline have their queues solved together, in one
     stacked solve.
     """
-    sps = [channel.success_probs(p.link1, p.link2, p.rx) for p in points]
+    by_channel: dict[tuple, SuccessProbs] = {}
+    sps = []
+    for p in points:
+        key = (p.link1, p.link2, p.rx)
+        sp = by_channel.get(key)
+        if sp is None:
+            sp = by_channel[key] = channel.success_probs(*key)
+        sps.append(sp)
     services = [user1_service(p, sp) for p, sp in zip(points, sps)]
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(points):

@@ -7,6 +7,7 @@ import pytest
 
 from aoi_access import cli, results
 from aoi_access.scenarios import load_scenario
+from aoi_access.sim import default_warmup
 from aoi_access.system import analyze
 from aoi_access.validate import MIN_SLOTS, run_validation
 
@@ -194,6 +195,23 @@ def test_sim_flags_reach_simulate_and_every_sweep_row(write_scenario, tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert {k: row["sim_warmup_slots" if k == "warmup" else f"sim_{k}"] for k in flags} == flags
+
+
+def test_consecutive_calls_leak_no_option(write_scenario, tmp_path):
+    # main reuses one parser, so an option given in one call must not reach the next
+    assert cli.make_parser() is cli.make_parser()
+    path = write_scenario(scenario_doc(sim={"slots": 8000, "seed": 1, "mode": "coupled"}))
+    out = tmp_path / "s"
+    argv = ["simulate", "--scenario", str(path), "--out", str(out)]
+    assert cli.main([*argv, "--warmup", "1234"]) == 0
+    assert cli.main(argv) == 0
+    assert results.read_csv(out.with_suffix(".csv"))[0]["sim_warmup_slots"] == default_warmup(8000)
+
+    argv = ["sweep", "--scenario", str(path), "--out", str(out), "--axis", "q2", "--values", "0.3,0.6"]
+    assert cli.main([*argv, "--with-sim"]) == 0
+    assert cli.main(argv) == 0
+    for row in results.read_csv(out.with_suffix(".csv")):
+        assert all(row[name] is None for name in results.COLUMN_NAMES if name.startswith("sim_"))
 
 
 def test_sweep_q2_tradeoff_in_emitted_rows(write_scenario, tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoi_access import deadline_queue
+from aoi_access import channel, deadline_queue, results
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import QueueParams, queue_metrics
 from aoi_access.errors import NotIrreducibleError, ParameterError
@@ -240,6 +240,29 @@ def test_sweep_splits_a_deadline_into_bounded_stacks(monkeypatch):
     for got, want in zip(sweep(base, "q1", values), whole, strict=True):
         assert np.array_equal(got.queue.stationary.probs, want.queue.stationary.probs)
     assert solved == [2, 2, 1]
+
+
+def test_sweep_computes_success_probs_once_per_channel(monkeypatch):
+    base = make_params(gamma_db=1.0, deadline=4)
+    cases = {"q2": [k / 100 for k in range(101)], "gamma_db": [-5.0, 0.0, 1.0, 3.0]}
+    want = {
+        axis: [results.analytical_row(analyze(apply_axis(base, axis, v)), axis, v) for v in values]
+        for axis, values in cases.items()
+    }
+    calls = []
+    success_probs = channel.success_probs
+
+    def counting(*args):
+        calls.append(args)
+        return success_probs(*args)
+
+    monkeypatch.setattr(channel, "success_probs", counting)
+    for axis, values in cases.items():
+        calls.clear()
+        got = [results.analytical_row(r, axis, v) for v, r in zip(values, sweep(base, axis, values))]
+        # the same text in every cell: bit for bit, signed zeros included
+        assert results.encode_rows(got) == results.encode_rows(want[axis])
+        assert len(calls) == (1 if axis == "q2" else len(values))
 
 
 def test_system_params_validation():
