@@ -304,15 +304,25 @@ def write_csv(path: str | Path, table: EncodedRows) -> None:
 
 
 def read_csv(path: str | Path) -> list[dict]:
+    """The rows of a write_csv file.
+
+    A histogram cell can outgrow the csv module's field limit, so the
+    limit is set to the file's size, which no cell exceeds, for the read
+    and then restored.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != COLUMN_NAMES:
-            raise ValueError(f"{path}: unexpected column set")
-        return [
-            {name: _csv_parse(name, cell) for name, cell in zip(header, line)}
-            for line in reader
-        ]
+        limit = csv.field_size_limit(os.fstat(fh.fileno()).st_size)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader)
+            if tuple(header) != COLUMN_NAMES:
+                raise ValueError(f"{path}: unexpected column set")
+            return [
+                {name: _csv_parse(name, cell) for name, cell in zip(header, line)}
+                for line in reader
+            ]
+        finally:
+            csv.field_size_limit(limit)
 
 
 def _json_parse(name: str, value):

@@ -38,8 +38,15 @@ max(g_{i-1}, lo_i) < hi_i, at user 1's success number max(g_{i-1}, lo_i)
 (counting from 0), and is otherwise dropped at a_i + d. The recurrence
 is solved time-parallel over chunks of packets (Greenberg, Lubachevsky
 & Mitrani, "Algorithms for unboundedly parallel simulations", ACM TOCS
-1991). The per-slot head-of-line state, user 2's successes and the age
-follow from the packets' slots, block by block.
+1991). The tallies then follow block by block. Packet i heads the queue
+from slot e_{i-1} + 1 to its departure e_i, so one repeat of the arrival
+slots over these head runs gives every slot's head-of-line state, and
+with it user 2's successes. A gap of g slots between two successes holds
+the ages 1..g once each, the sawtooth of Kaul, Yates & Gruteser
+("Real-time status: How often should one update?", INFOCOM 2012), so
+the age histogram and sum come from the gap lengths. Each slot but the
+first measured one ends one counted transition, so the occupancy comes
+from the transition counts.
 """
 
 from __future__ import annotations
@@ -94,20 +101,25 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.slots, int) or self.slots < 1:
+        if not _is_int(self.slots) or self.slots < 1:
             raise ParameterError(f"slots must be a positive integer, got {self.slots!r}")
         if self.warmup_slots is None:
             object.__setattr__(self, "warmup_slots", default_warmup(self.slots))
-        if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
+        if not _is_int(self.warmup_slots) or self.warmup_slots < 0:
             raise ParameterError(f"warmup_slots must be >= 0, got {self.warmup_slots!r}")
         if self.slots <= self.warmup_slots:
             raise ParameterError(
                 f"slots ({self.slots}) must exceed warmup_slots ({self.warmup_slots})"
             )
-        if not isinstance(self.replications, int) or self.replications < 1:
+        if not _is_int(self.replications) or self.replications < 1:
             raise ParameterError(f"replications must be >= 1, got {self.replications!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: True would otherwise pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -327,68 +339,92 @@ def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx) -> tuple[np.
 def _slot_tallies(
     a: np.ndarray, e: np.ndarray, s2_idle: np.ndarray, s2_busy: np.ndarray, cfg: SimConfig
 ) -> dict:
-    """Per-slot state, occupancy, transitions and age from the packets' slots.
+    """Per-slot state, occupancy, transitions and age from head runs and update gaps.
 
     a holds the arrival slots and the sentinel, e the departure slots. In
-    slot t the queue's head is the first packet not departed before t; the
-    queue is busy if that packet arrived before t. Slots are taken _BLOCK
-    at a time; the last state and user 2's last success carry across
-    blocks.
+    slot t the queue's head is the first packet not departed before t, so
+    packet i heads the run of slots from e_{i-1} + 1 to e_i; the queue is
+    busy if its head arrived before t. Slots are taken _BLOCK at a time.
+
+    Each measured slot's age is t minus user 2's last success before t
+    (-1 if none). A gap of g slots between two successes thus holds the
+    ages 1..g, once each, summing to g(g + 1)/2. Each block adds the
+    ages from its first measured slot to its first success as one range,
+    and counts the gaps after each of its successes by length, the last
+    one ending with the block. Every measured slot but the first is the
+    destination of one counted transition, so the occupancy is the
+    transitions' column sums plus the first measured state.
     """
     slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
     # packets departed before each block
     cuts = e.searchsorted(np.array([*range(0, slots, _BLOCK), slots], dtype=e.dtype)).tolist()
+    offsets = np.arange(min(_BLOCK, slots), dtype=a.dtype)
 
-    occ = np.zeros(d + 1, dtype=np.int64)
     trans = np.zeros((d + 1) ** 2, dtype=np.int64)
-    hist = np.zeros(0, dtype=np.int64)
-    top = 0  # one past the oldest age seen
-    aoi_sum = 0
-    after_s2 = 0  # one past user 2's last success before the block, 0 if none
-    prev_state = -1
+    gaps = np.zeros(0, dtype=np.int64)  # gaps[g]: update gaps of g slots
+    ranges = []  # (first age, last age) up to each block's first success
+    last = -1  # user 2's last success before the block, -1 if none
+    first_state = prev_state = -1
     for t0, lo, hi in zip(range(0, slots, _BLOCK), cuts, cuts[1:]):
-        blk = slice(t0, min(t0 + _BLOCK, slots))
-        t = np.arange(blk.start, blk.stop, dtype=a.dtype)
-        head = np.zeros(len(t) + 1, dtype=a.dtype)
-        head[e[lo:hi] + 1 - t0] = 1
-        head[0] = lo
-        np.cumsum(head, out=head)
+        t1 = min(t0 + _BLOCK, slots)
+        # packet lo + i heads the block's i-th run of slots; the last run,
+        # of packet hi (or the sentinel), ends with the block
+        ends = np.empty(hi - lo + 2, dtype=e.dtype)
+        ends[0], ends[1:-1], ends[-1] = t0 - 1, e[lo:hi], t1 - 1
+        state = offsets[: t1 - t0] - np.repeat(a[lo : hi + 1] - t0, np.diff(ends))
         # an idle queue's head (or the sentinel) arrives in slot t or later
-        state = t - a.take(head[:-1])
         np.maximum(state, 0, out=state)
-        busy = state > 0
-        t += 1  # one past each slot from here, so that 0 stands for no success
-        after = t * ((busy & s2_busy[blk]) | (~busy & s2_idle[blk]))
-        after[0] = max(after[0], after_s2)
-        np.maximum.accumulate(after, out=after)
-        aoi = t
-        aoi[0] -= after_s2
-        aoi[1:] -= after[:-1]
-        after_s2 = int(after[-1])
+        # user 2 reads s2_busy where the queue is busy and s2_idle elsewhere
+        s2 = s2_idle[t0:t1] ^ s2_busy[t0:t1]
+        s2 &= state > 0
+        s2 ^= s2_idle[t0:t1]
+        hits = np.flatnonzero(s2)
+        hits += t0
 
-        m0 = max(warmup - t0, 0)
-        if m0 >= len(t):
-            continue
-        state, aoi = state[m0:], aoi[m0:]
-        occ += np.bincount(state, minlength=d + 1)
-        if prev_state >= 0:
-            trans[prev_state * (d + 1) + state[0]] += 1
-        pairs = np.bincount(state[:-1] * (d + 1) + state[1:])
-        trans[: len(pairs)] += pairs
-        prev_state = int(state[-1])
-        low = int(aoi.min())
-        ages = np.bincount(aoi - low)
-        top = max(top, low + len(ages))
-        if len(hist) < top:  # doubling keeps an ever-growing age linear in the horizon
-            hist = np.concatenate((hist, np.zeros(max(top, 2 * len(hist)) - len(hist), np.int64)))
-        hist[low : low + len(ages)] += ages
-        aoi_sum += int(aoi.sum(dtype=np.int64))
-    return {
-        "occ": occ,
-        "trans": trans.reshape(d + 1, d + 1),
-        "hist": hist[:top],
-        "aoi_sum": aoi_sum,
-    }
+        m = max(warmup, t0)
+        if m < t1:
+            state = state[m - t0 :]
+            if prev_state >= 0:
+                trans[prev_state * (d + 1) + state[0]] += 1
+            else:
+                first_state = int(state[0])
+            prev_state = int(state[-1])
+            codes = state[:-1] * (d + 1)
+            codes += state[1:]
+            if 0 < len(codes) < (d + 1) ** 2:
+                # a bincount would outgrow the block: count the codes that occur
+                codes.sort()
+                run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), len(codes) - 1)
+                trans[codes[run_ends]] += np.diff(run_ends, prepend=-1)
+            else:
+                pairs = np.bincount(codes)
+                trans[: len(pairs)] += pairs
+
+            k = int(hits.searchsorted(m))
+            before = int(hits[k - 1]) if k else last
+            stops = np.append(hits[k:], t1 - 1)
+            ranges.append((m - before, int(stops[0]) - before))
+            counts = np.bincount(np.diff(stops))
+            if len(counts) > len(gaps):
+                gaps = np.concatenate((gaps, np.zeros(len(counts) - len(gaps), np.int64)))
+            gaps[: len(counts)] += counts
+        if len(hits):
+            last = int(hits[-1])
+
+    trans = trans.reshape(d + 1, d + 1)
+    occ = trans.sum(axis=0)
+    occ[first_state] += 1
+    # one past the oldest age seen
+    top = max([len(gaps)] + [high + 1 for _, high in ranges])
+    hist = np.zeros(top, dtype=np.int64)
+    # a gap of g slots holds each age 1..g
+    hist[1 : len(gaps)] = np.cumsum(gaps[::-1])[::-1][1:]
+    g = np.arange(len(gaps), dtype=np.int64)
+    aoi_sum = int(gaps @ (g * (g + 1) // 2))
+    for low, high in ranges:
+        hist[low : high + 1] += 1
+        aoi_sum += (high * (high + 1) - (low - 1) * low) // 2
+    return {"occ": occ, "trans": trans, "hist": hist, "aoi_sum": aoi_sum}
 
 
 def _replicate(cfg: SimConfig, bounds: tuple[float, ...], rep: int) -> dict:

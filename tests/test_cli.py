@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -72,6 +73,20 @@ def test_unbounded_aoi_serialization(write_scenario, tmp_path):
     row = results.read_csv(out.with_suffix(".csv"))[0]
     assert row["ana_aoi_average"] == float("inf")
     assert results.read_json(out.with_suffix(".json"))[0] == row
+
+
+def test_simulated_unbounded_age_row_reads_back_from_csv(write_scenario, tmp_path):
+    # at q2=0 the age never resets: a 180,000-entry histogram in one cell,
+    # past the csv module's default field limit
+    sim = {"slots": 200_000, "seed": 3, "replications": 3}
+    path = write_scenario(scenario_doc(q2=0.0, sim=sim))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    limit = csv.field_size_limit()
+    rows = results.read_csv(out.with_suffix(".csv"))
+    assert csv.field_size_limit() == limit
+    assert len(rows[0]["sim_aoi_histogram"]) == 180_000
+    assert rows == results.read_json(out.with_suffix(".json"))
 
 
 def test_invalid_probability_names_the_field(write_scenario, tmp_path, capsys):

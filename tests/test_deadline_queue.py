@@ -18,7 +18,12 @@ from aoi_access.deadline_queue import (
     verify_lumpability,
     verify_lumpability_stack,
 )
-from aoi_access.errors import NotIrreducibleError, ParameterError, PartitionError
+from aoi_access.errors import (
+    ConvergenceError,
+    NotIrreducibleError,
+    ParameterError,
+    PartitionError,
+)
 from aoi_access.markov import StochasticMatrix, stationary
 
 from conftest import action_chain
@@ -151,6 +156,21 @@ def test_long_deadline_solve_has_no_negative_mass(lam, mu, d):
     pi = stationary(m).probs
     assert pi.min() >= 0.0
     assert np.max(np.abs(pi @ m.entries - pi)) <= 1e-10
+
+
+@pytest.mark.xfail(
+    raises=ConvergenceError,
+    strict=True,
+    reason="the dense LU solve returns -2.7e31 on this irreducible chain; "
+    "ROADMAP item 1's closed-form O(d) solve is the fix",
+)
+def test_near_saturated_chain_solves_to_closed_form():
+    # lam = mu = 1 - 2**-53: hypothesis found it for
+    # test_stacked_queue_metrics_equal_per_point_metrics, which then fails
+    # whenever its example database holds it
+    lam = mu = 0.9999999999999999
+    pi = queue_metrics(QueueParams(lam, mu, 3)).stationary.probs
+    assert np.max(np.abs(pi - closed_form_stationary(lam, mu, 3))) <= 1e-12
 
 
 def test_extreme_arrival_probabilities():

@@ -251,3 +251,12 @@ def test_config_validation():
         SimConfig(params=params, slots=100, seed=1, replications=0)
     with pytest.raises(ParameterError):
         SimConfig(params=params, slots=100, seed=1, mode="hybrid")
+
+
+@pytest.mark.parametrize("field", ["slots", "seed", "warmup_slots", "replications"])
+def test_config_rejects_bools(field):
+    kw = dict(params=make_params(), slots=100, seed=1, warmup_slots=0, replications=1)
+    with pytest.raises(ParameterError, match=field):
+        SimConfig(**{**kw, field: True})
+    with pytest.raises(ParameterError, match=field):
+        SimConfig(**{**kw, field: False})

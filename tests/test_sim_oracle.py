@@ -161,6 +161,87 @@ def test_chunk_end_is_its_start_plus_length_clamped_to_the_probe_ends(inputs, ch
         assert g.tolist() == np.minimum(np.maximum(start + L, low[c]), high[c]).tolist()
 
 
+def count_slots(a, e, s2_idle, s2_busy, cfg):
+    """The tallies of _slot_tallies, counted one slot at a time.
+
+    In slot t the head is the first packet departing at t or later (the
+    sentinel a[-1] once all have left); its state is t minus its arrival
+    slot if it arrived before t, else 0. The age is t minus user 2's last
+    success before t, or t + 1 if there was none.
+    """
+    d = cfg.params.deadline
+    occ = [0] * (d + 1)
+    trans = [[0] * (d + 1) for _ in range(d + 1)]
+    hist = [0] * (cfg.slots + 2)
+    aoi_sum = 0
+    head, last, prev = 0, -1, -1
+    for t in range(cfg.slots):
+        while head < len(e) and e[head] < t:
+            head += 1
+        state = max(t - int(a[head]), 0)
+        if t >= cfg.warmup_slots:
+            occ[state] += 1
+            if prev >= 0:
+                trans[prev][state] += 1
+            prev = state
+            hist[t - last] += 1
+            aoi_sum += t - last
+        if (s2_busy if state else s2_idle)[t]:
+            last = t
+    return {"occ": occ, "trans": trans, "hist": hist, "aoi_sum": aoi_sum}
+
+
+def tally_inputs(rng, slots, lam, d, p_idle, p_busy):
+    """FIFO arrival and departure slots and user 2's success draws.
+
+    Each departure lies between one past the later of the packet's arrival
+    and the previous departure, and the packet's deadline.
+    """
+    arrivals = np.flatnonzero(rng.random(slots) < lam)
+    e, prev = [], -1
+    for t in arrivals.tolist():
+        prev = int(rng.integers(max(t, prev) + 1, t + d + 1))
+        e.append(prev)
+    a = np.append(arrivals, slots).astype(np.int32)
+    return a, np.array(e, dtype=np.int32), rng.random(slots) < p_idle, rng.random(slots) < p_busy
+
+
+def assert_tallies_match_slot_count(a, e, s2_idle, s2_busy, cfg, block):
+    with mock.patch.object(sim, "_BLOCK", block):
+        got = sim._slot_tallies(a, e, s2_idle, s2_busy, cfg)
+    assert _plain(got) == _plain(count_slots(a, e, s2_idle, s2_busy, cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slots=st.integers(1, 300),
+    d=st.integers(1, 12),
+    lam=probs,
+    p_idle=probs,
+    p_busy=probs,
+    seed=st.integers(0, 2**32),
+    block=st.sampled_from([1, 2, 3, 7, 64]),
+    cut=st.integers(0, 50),
+    shift=st.sampled_from([-1, 0, 1]),
+)
+def test_tallies_match_slot_count(slots, d, lam, p_idle, p_busy, seed, block, cut, shift):
+    # the warm-up ends on a block boundary, one slot before it or one after
+    warmup = min(max(cut * block + shift, 0), slots - 1)
+    cfg = SimConfig(params=make_params(deadline=d), slots=slots, seed=0, warmup_slots=warmup)
+    inputs = tally_inputs(np.random.default_rng(seed), slots, lam, d, p_idle, p_busy)
+    assert_tallies_match_slot_count(*inputs, cfg, block)
+
+
+@pytest.mark.parametrize("user2", ["every slot", "no slot"])
+@pytest.mark.parametrize("warmup", [0, 127, 128, 129])
+def test_tallies_when_user2_always_or_never_succeeds(user2, warmup):
+    # q2 = 1 on a perfect channel, and q2 = 0
+    cfg = SimConfig(params=make_params(deadline=5), slots=1_000, seed=0, warmup_slots=warmup)
+    p = 1.0 if user2 == "every slot" else 0.0
+    inputs = tally_inputs(np.random.default_rng(8), cfg.slots, 0.6, 5, p, p)
+    assert_tallies_match_slot_count(*inputs, cfg, 64)
+
+
 EDGES = [
     dict(slots=1, warmup_slots=0),
     dict(params=make_params(deadline=1)),
@@ -171,6 +252,7 @@ EDGES = [
     dict(success_probs_override=SuccessProbs(0.0, 0.0, 0.6, 0.3)),
     dict(success_probs_override=SuccessProbs(0.7, 0.2, 0.0, 0.0)),
     dict(success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
+    dict(params=make_params(q2=1.0), success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
 ]
 
 
