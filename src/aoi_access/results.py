@@ -307,11 +307,12 @@ def read_csv(path: str | Path) -> list[dict]:
     """The rows of a write_csv file.
 
     A histogram cell can outgrow the csv module's field limit, so the
-    limit is set to the file's size, which no cell exceeds, for the read
-    and then restored.
+    limit is raised to the file's size, which no cell exceeds, for the
+    read and then restored; it is never lowered.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        limit = csv.field_size_limit(os.fstat(fh.fileno()).st_size)
+        limit = csv.field_size_limit()
+        csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
         try:
             reader = csv.reader(fh)
             header = next(reader)

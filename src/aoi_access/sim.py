@@ -391,8 +391,11 @@ def _slot_tallies(
             prev_state = int(state[-1])
             codes = state[:-1] * (d + 1)
             codes += state[1:]
-            if 0 < len(codes) < (d + 1) ** 2:
-                # a bincount would outgrow the block: count the codes that occur
+            # a bincount is as long as the largest code; once that reaches 4
+            # times the pair count, sorting the pairs and counting runs costs
+            # about as much or less (measured at d = 128-1000)
+            limit = 4 * len(codes)
+            if 0 < limit < (d + 1) ** 2 and codes.max() >= limit:
                 codes.sort()
                 run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), len(codes) - 1)
                 trans[codes[run_ends]] += np.diff(run_ends, prepend=-1)

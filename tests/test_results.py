@@ -1,6 +1,8 @@
 """The column-wise encoder against the cell-by-cell writers of results_oracle."""
 
+import csv
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,3 +82,18 @@ def test_large_histogram_row_matches_oracle(write_scenario, tmp_path):
         sim_ci_halfwidth={"drop_rate": 0.01},
     )
     assert_files_match_oracle([row], tmp_path)
+
+
+def test_read_csv_never_lowers_the_callers_field_limit(tmp_path):
+    rows = [{name: None for name in results.COLUMN_NAMES} | {"q1": 0.5, "deadline": 3}]
+    path = tmp_path / "small.csv"
+    results.write_csv(path, results.encode_rows(rows))
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(path.stat().st_size * 1000)
+        with mock.patch.object(csv, "field_size_limit", wraps=csv.field_size_limit) as spy:
+            assert results.read_csv(path)[0]["q1"] == 0.5
+        assert all(c.args[0] >= path.stat().st_size * 1000 for c in spy.call_args_list if c.args)
+        assert csv.field_size_limit() == path.stat().st_size * 1000
+    finally:
+        csv.field_size_limit(limit)
