@@ -1,7 +1,7 @@
 """Two-user slotted random access: deadline-constrained traffic meets status updates.
 
 Closed-form performance analysis (drop rate, throughput, queue occupancy,
-age-of-information distribution) plus a seeded slot-level Monte Carlo
+age-of-information distribution) plus a seeded packet-level Monte Carlo
 simulator to validate it. The package exports what the command line's
 four commands rest on; everything else is reached through its module.
 """

@@ -4,7 +4,7 @@ Output paths are bases: `--out results` writes results.csv and
 results.json (a trailing .csv/.json on the flag is stripped). The
 default output directory is $AOI_ACCESS_OUT_DIR, falling back to the
 working directory. Exit codes: 0 success, 1 validation or check
-failure, 2 usage error.
+failure or a chain that cannot be solved, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import results
 from .channel import linear_to_db
-from .errors import ParameterError, ScenarioError
+from .errors import ConvergenceError, NotIrreducibleError, ParameterError, ScenarioError
 from .scenarios import SIM_KEYS, Scenario, load_scenario
 from .sim import MODES, SimConfig, simulate
 from .system import SWEEP_AXES, analyze, sweep
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return EXIT_FAILURE
-    except ParameterError as exc:
+    except (ParameterError, NotIrreducibleError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -42,7 +42,8 @@ def _check_prob(name: str, v: float) -> None:
 
 
 def _check_deadline(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
+    # a bool is an int to isinstance, and True would pass as 1
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ParameterError(f"deadline must be an integer >= 1, got {d!r}")
 
 

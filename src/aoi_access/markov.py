@@ -5,9 +5,11 @@ stack of chains of one size; a single chain is the stack of one. The
 stack is checked matrix by matrix (entry bounds, row sums), each
 distinct zero pattern is checked once for a unique closed class by
 numpy reachability, and one dense LU call then solves every matrix of
-the stack, O(k n^3). It is the only solver in the package; the
-least-squares solve and power iteration it is checked against live in
-tests/chain_oracle.py.
+the stack, O(k n^3). A stack fails exactly when one of its matrices
+would fail alone, with that matrix's error; which failing matrix's
+error is not specified, and system.sweep replays a failed batch to
+pick it. It is the only solver in the package; the least-squares solve
+and power iteration it is checked against live in tests/chain_oracle.py.
 """
 
 from __future__ import annotations
@@ -22,19 +24,13 @@ ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-def _at(index: int, exc: Exception) -> Exception:
-    """exc, marked with the position in its stack of the matrix that failed."""
-    exc.index = index
-    return exc
-
-
 def check_stack(entries) -> np.ndarray:
     """A (k, n, n) stack of transition matrices as a float array, checked matrix by matrix.
 
     Every entry must lie in [0, 1] and every row must sum to 1 within
-    ROW_SUM_TOL. The first matrix that fails raises NotStochasticError,
-    with the message a single matrix would give and that matrix's
-    position in the stack as the error's index attribute.
+    ROW_SUM_TOL. A stack with a matrix that fails raises the
+    NotStochasticError that a failing matrix would raise alone; which
+    failing matrix's error that is, is not specified.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -48,11 +44,11 @@ def check_stack(entries) -> np.ndarray:
     if len(bad):
         i = int(bad[0])
         if not in_range[i]:
-            raise _at(i, NotStochasticError("transition matrix entries must lie in [0, 1]"))
+            raise NotStochasticError("transition matrix entries must lie in [0, 1]")
         worst = int(np.argmax(row_err[i]))
-        raise _at(i, NotStochasticError(
+        raise NotStochasticError(
             f"row {worst} sums to {m[i, worst].sum()!r}, off by more than {ROW_SUM_TOL}"
-        ))
+        )
     return m
 
 
@@ -135,39 +131,32 @@ def _unique_closed_class(mask: np.ndarray) -> bool:
         r = int(escape[0])
 
 
-def _first_reducible(p: np.ndarray) -> int:
-    """Position of the first matrix of the stack with several closed classes, or len(p).
+def _reducible(p: np.ndarray) -> bool:
+    """Whether some matrix of the stack has several closed classes.
 
     Matrices with one zero pattern share one reachability check.
     """
     if len(p) == 1:
         # a pattern key would be a copy of the mask that no later matrix reads
-        return int(_unique_closed_class(p[0] > 0.0))
-    verdicts: dict[bytes, bool] = {}
-    for i, mask in enumerate(p > 0.0):
+        return not _unique_closed_class(p[0] > 0.0)
+    irreducible: set[bytes] = set()
+    for mask in p > 0.0:
         key = mask.tobytes()
-        if key not in verdicts:
-            verdicts[key] = _unique_closed_class(mask)
-        if not verdicts[key]:
-            return i
-    return len(p)
+        if key not in irreducible:
+            if not _unique_closed_class(mask):
+                return True
+            irreducible.add(key)
+    return False
 
 
 def _solve(p: np.ndarray) -> np.ndarray:
     """stationary_stack of a stack that check_stack has passed."""
-    n = p.shape[1]
-    k = _first_reducible(p)
-    failure = None
-    if k < len(p):
-        failure = _at(
-            k,
-            NotIrreducibleError("chain has multiple closed classes; stationary vector not unique"),
-        )
-    # only the matrices before the first failure are solved; each system is
-    # built as its transpose, P - I with the last column set to 1, in row
-    # order: a_t[i].T is then column-major, LAPACK's layout, and the solve
-    # copies it without transposing
-    p = p[:k]
+    if _reducible(p):
+        raise NotIrreducibleError("chain has multiple closed classes; stationary vector not unique")
+    # each system is built as its transpose, P - I with the last column set
+    # to 1, in row order: a_t[i].T is then column-major, LAPACK's layout,
+    # and the solve copies it without transposing
+    k, n = p.shape[:2]
     a_t = p.copy()
     a_t.reshape(k, n * n)[:, :: n + 1] -= 1.0
     a_t[:, :, -1] = 1.0
@@ -179,17 +168,8 @@ def _solve(p: np.ndarray) -> np.ndarray:
     b[0, -1] = 1.0
     try:
         pi = np.linalg.solve(a_t.transpose(0, 2, 1), b)[..., 0]
-    except np.linalg.LinAlgError:
-        # some matrix is singular: solve one at a time up to the first that is
-        rows = []
-        for i, a in enumerate(a_t):
-            try:
-                rows.append(np.linalg.solve(a.T, b[0])[:, 0])
-            except np.linalg.LinAlgError as exc:
-                failure = _at(i, ConvergenceError(f"direct solve failed: {exc}"))
-                break
-        pi = np.array(rows).reshape(len(rows), n)
-        p = p[: len(rows)]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"direct solve failed: {exc}") from exc
     # the solve leaves O(1e-16) round-off on states whose true mass is zero;
     # scrub everything below its noise floor so degenerate cases
     # (absorbing empty queue, unreachable states) come out exact
@@ -201,18 +181,12 @@ def _solve(p: np.ndarray) -> np.ndarray:
     if len(bad):
         i = int(bad[0])
         if lowest[i] < 0.0:
-            failure = ConvergenceError(
-                f"direct solve produced a negative probability: {lowest[i]!r}"
-            )
-        elif residual[i] > RESIDUAL_TOL:
-            failure = ConvergenceError(
+            raise ConvergenceError(f"direct solve produced a negative probability: {lowest[i]!r}")
+        if residual[i] > RESIDUAL_TOL:
+            raise ConvergenceError(
                 f"direct solve: stationarity residual {residual[i]:g} exceeds {RESIDUAL_TOL:g}"
             )
-        else:
-            failure = ConvergenceError("stationary vector must be nonnegative and sum to 1")
-        raise _at(i, failure)
-    if failure is not None:
-        raise failure
+        raise ConvergenceError("stationary vector must be nonnegative and sum to 1")
     return pi
 
 
@@ -227,21 +201,16 @@ def stationary_stack(entries) -> np.ndarray:
     call solves the whole stack, and each row is the vector a single
     solve of its matrix gives, bit for bit.
 
-    The stack is checked as check_stack does. The first matrix that
-    fails raises what a single solve of it would raise, with its
-    position in the stack as the error's index attribute:
-    NotIrreducibleError when it has more than one closed class (its
-    solution would not be unique), and ConvergenceError when its solve
-    fails or its result is not a stationary distribution.
+    The stack raises exactly when some matrix would fail alone, and it
+    raises what a single solve of such a matrix raises:
+    NotStochasticError as check_stack does, NotIrreducibleError when
+    the matrix has more than one closed class (its solution would not
+    be unique), and ConvergenceError when its solve fails or its result
+    is not a stationary distribution. Which failing matrix's error is
+    raised is not specified; system.sweep replays a failed batch point
+    by point to raise the first failing point's own.
     """
-    try:
-        p = check_stack(entries)
-    except NotStochasticError as exc:
-        # a matrix before the first one that is not stochastic may fail first
-        if hasattr(exc, "index"):
-            _solve(np.asarray(entries, dtype=float)[: exc.index])
-        raise
-    return _solve(p)
+    return _solve(check_stack(entries))
 
 
 def stationary(m: StochasticMatrix) -> StationaryDistribution:

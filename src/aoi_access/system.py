@@ -196,9 +196,10 @@ def sweep(base: SystemParams, axis: str, values) -> list[AnalyticalReport]:
     try:
         return _reports([apply_axis(base, axis, v) for v in values])
     except Exception:
-        # the stacked pass builds every point before it solves any and stops
-        # at the first failure it meets, which need not be the first
-        # point's: rerun point by point to find that one
+        # this replay is the one place that picks which failing point's
+        # error a sweep raises: the stacked pass builds every point before
+        # it solves any, and a failed stack raises some failing member's
+        # error, so rerun point by point to raise the first failing point's
         for v in values:
             _reports([apply_axis(base, axis, v)])
         raise

@@ -96,6 +96,16 @@ def test_invalid_probability_names_the_field(write_scenario, tmp_path, capsys):
     assert "q1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--axis", "lambda", "--values", "0.5,1"]])
+def test_unsolvable_chain_is_an_error_line(write_scenario, tmp_path, capsys, command):
+    # user 1 always succeeds and always has a packet: every age from 1 up is absorbing
+    doc = scenario_doc(gamma_db=-3000.0, q1=1.0, q2=0.0, arrival_prob=1.0, deadline=3)
+    path = write_scenario(doc)
+    assert cli.main(command + ["--scenario", str(path), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: chain has multiple closed classes; stationary vector not unique\n"
+
+
 def test_parse_error_carries_line_info(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "link1": {,}\n}\n', encoding="utf-8")

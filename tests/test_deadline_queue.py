@@ -238,6 +238,9 @@ def test_invalid_queue_params():
         QueueParams(0.5, -0.1, 3)
     with pytest.raises(ParameterError):
         QueueParams(0.5, 0.5, 0)
+    # True is an int to isinstance and would pass as a deadline of 1
+    with pytest.raises(ParameterError, match="deadline"):
+        QueueParams(0.5, 0.5, True)
 
 
 def test_action_chain_silent_sampler():

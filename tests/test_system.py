@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoi_access import channel, deadline_queue, results
+from aoi_access import channel, deadline_queue, markov, results
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import QueueParams, queue_metrics
-from aoi_access.errors import NotIrreducibleError, ParameterError
+from aoi_access.errors import ConvergenceError, NotIrreducibleError, ParameterError
 from aoi_access.system import (
     SWEEP_AXES,
     analyze,
@@ -203,6 +203,22 @@ def test_sweep_raises_the_first_failing_points_error():
         sweep(base, "gamma_db", [-3000.0, 4000.0])
 
 
+def test_sweep_replay_picks_the_first_failing_point_over_the_stacks_choice(monkeypatch):
+    # no valid point is known whose LU solve fails on the axis of a later
+    # reducible point, so every LU solve is made to fail: the 1st point
+    # fails in its solve, and the 2nd is reducible, which the stack finds
+    # before it solves anything
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(markov.np.linalg, "solve", singular)
+    base = make_params(gamma_db=-3000.0, q1=1.0, q2=0.0, deadline=3)
+    with pytest.raises(NotIrreducibleError):
+        deadline_queue.queue_metrics_stack([0.5, 1.0], [1.0, 1.0], 3)
+    with pytest.raises(ConvergenceError, match="direct solve failed"):
+        sweep(base, "lambda", [0.5, 1.0])
+
+
 def count_solves(monkeypatch):
     """Record the size of every stacked and single chain solve that queue metrics make."""
     solved = []
@@ -272,6 +288,8 @@ def test_system_params_validation():
         make_params(arrival_prob=-0.1)
     with pytest.raises(ParameterError):
         make_params(deadline=0)
+    with pytest.raises(ParameterError, match="deadline"):
+        make_params(deadline=True)
 
 
 def test_mpr_strength_is_none_when_a_solo_success_underflows():
