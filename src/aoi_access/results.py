@@ -348,6 +348,7 @@ def write_json(path: str | Path, table: EncodedRows) -> None:
 
 
 def read_json(path: str | Path) -> list[dict]:
+    """The rows of a write_json file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return [

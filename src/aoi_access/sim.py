@@ -38,15 +38,25 @@ max(g_{i-1}, lo_i) < hi_i, at user 1's success number max(g_{i-1}, lo_i)
 (counting from 0), and is otherwise dropped at a_i + d. The recurrence
 is solved time-parallel over chunks of packets (Greenberg, Lubachevsky
 & Mitrani, "Algorithms for unboundedly parallel simulations", ACM TOCS
-1991). The tallies then follow block by block. Packet i heads the queue
-from slot e_{i-1} + 1 to its departure e_i, so one repeat of the arrival
-slots over these head runs gives every slot's head-of-line state, and
-with it user 2's successes. A gap of g slots between two successes holds
-the ages 1..g once each, the sawtooth of Kaul, Yates & Gruteser
-("Real-time status: How often should one update?", INFOCOM 2012), so
-the age histogram and sum come from the gap lengths. Each slot but the
-first measured one ends one counted transition, so the occupancy comes
-from the transition counts.
+1991). Packet i heads the queue from slot e_{i-1} + 1 to its departure
+e_i, so one repeat of the arrival slots over these head runs gives every
+slot's head-of-line state, whose counts are the occupancy, and with it
+user 2's successes. A gap of g slots between two successes holds the
+ages 1..g once each, the sawtooth of Kaul, Yates & Gruteser ("Real-time
+status: How often should one update?", INFOCOM 2012), so the age
+histogram and sum come from the gap lengths. Only coupled_run, whose
+checks read them, counts the one-step transitions.
+
+A replication is played in segments of _SEGMENT slots, and the streams
+are drawn _BLOCK slots at a time, d slots ahead of the segment: a packet
+that arrives in a segment departs within d slots. Each segment solves
+the departures of its own packets, carrying the count g from the last
+packet before it, and tallies its slots from the packets that head them:
+the ones still queued from earlier segments, its own, and its end as a
+sentinel arrival. No array spans the horizon, so a replication's memory
+is O(_SEGMENT + d). The one exception is the age histogram, which is as
+long as the longest gap between user 2's updates: at q2 = 0 that is the
+horizon.
 """
 
 from __future__ import annotations
@@ -67,10 +77,12 @@ MODES = ("coupled", "decoupled")
 
 DEFAULT_MIN_VISITS = 10_000
 
-# packets per chunk of the time-parallel departure solve, and slots per
-# block of the random draws and of the per-slot tallies
-_CHUNK = 128
+# the most packets per chunk of the time-parallel departure solve, and
+# slots per block of the random draws and of the per-slot tallies
+_CHUNK = 64
 _BLOCK = 1 << 14
+# slots per segment of a replication, a multiple of _BLOCK
+_SEGMENT = 1 << 17
 
 # 95% two-sided normal quantile for across-replication confidence intervals
 _Z95 = 1.959963984540054
@@ -181,8 +193,8 @@ def _success_counts(
     """Each packet's counts of user 1's successes, as (L, m) chunk lanes.
 
     lo[j, c] and hi[j, c] count the successes at or before a_i and at or
-    before a_i + d for packet i = c L + j, where every slot past the
-    horizon counts as a success; the last chunk is padded by repeating its
+    before a_i + d for packet i = c L + j, where every slot past the end
+    of s1 counts as a success; the last chunk is padded by repeating its
     last packet. The counts are read from a cumulative count over the slots
     of about _BLOCK / 4 packets at a time, which keeps the temporaries
     small, and are written straight into the lanes.
@@ -216,16 +228,10 @@ def _success_counts(
 
 
 def _success_slots(s1: np.ndarray, d: int, dtype) -> np.ndarray:
-    """User 1's success slots, then the d + 1 slots past the horizon."""
-    slots = len(s1)
-    out = np.empty(int(np.count_nonzero(s1)) + d + 1, dtype=dtype)
-    k = 0
-    for t0 in range(0, slots, _BLOCK):
-        hits = np.flatnonzero(s1[t0 : t0 + _BLOCK])
-        out[k : k + len(hits)] = hits + t0
-        k += len(hits)
-    out[k:] = np.arange(slots, slots + d + 1)
-    return out
+    """User 1's success slots, then the d + 1 slots past the end of s1."""
+    return np.concatenate(
+        (np.flatnonzero(s1).astype(dtype), np.arange(len(s1), len(s1) + d + 1, dtype=dtype))
+    )
 
 
 def _advance(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, record=None) -> np.ndarray:
@@ -243,19 +249,23 @@ def _advance(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, record=None) -> np
     return cur
 
 
-def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _departures(
+    a: np.ndarray, s1: np.ndarray, d: int, prev: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
     """Departure slot of every packet from the arrival slots a, and whether it was delivered.
 
-    FIFO gives e_i = min(N(x_i), a_i + d) with x_i = max(a_i, e_{i-1}) + 1,
-    where N(x) is user 1's first success at or after slot x. In counts of
-    user 1's successes (_success_counts), g_i at or before e_i, lo_i at or
-    before a_i and hi_i at or before a_i + d, this is
-    g_i = min(k_i + 1, hi_i) with k_i = max(g_{i-1}, lo_i), the successes
-    before slot x_i, and g_{-1} = 0: one max, add and min per packet. With
-    S the success slots (_success_slots), packet i is delivered iff
-    k_i < hi_i, at e_i = S[k_i]; otherwise k_i = hi_i, S[k_i] lies past the
-    deadline and e_i = a_i + d. So e_i = min(S[k_i], a_i + d) either way,
-    and the packet is delivered iff S[k_i] <= a_i + d.
+    prev is the departure slot of the packet before a[0], -1 if there is
+    none or if it left before slot 0. FIFO gives e_i = min(N(x_i), a_i + d)
+    with x_i = max(a_i, e_{i-1}) + 1, where N(x) is user 1's first success
+    at or after slot x. In counts of user 1's successes (_success_counts),
+    g_i at or before e_i, lo_i at or before a_i and hi_i at or before
+    a_i + d, this is g_i = min(k_i + 1, hi_i) with k_i = max(g_{i-1}, lo_i),
+    the successes before slot x_i, and g_{-1} those at or before prev: one
+    max, add and min per packet. With S the success slots (_success_slots),
+    packet i is delivered iff k_i < hi_i, at e_i = S[k_i]; otherwise
+    k_i = hi_i, S[k_i] lies past the deadline and e_i = a_i + d. So
+    e_i = min(S[k_i], a_i + d) either way, and the packet is delivered iff
+    S[k_i] <= a_i + d.
 
     A chunk of packets depends on the packets before it only through g,
     the last count of the chunk before. Each packet's step,
@@ -265,17 +275,24 @@ def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.n
     and every g >= hi_0 gives high, so low and high are the chunk's ends
     when advanced from lo_0 and from hi_0. All chunks are advanced at once
     from those two probes, with the starts on the leading axis; the chunk
-    ends are then stitched together in order by the clamp, and every chunk
-    is replayed from its true start.
+    ends are then stitched together in order by the clamp, the first from
+    g_{-1}, and every chunk is replayed from its true start.
     """
     n = len(a)
     if not n:
         return a, np.zeros(0, dtype=bool)
-    L = min(_CHUNK, n)
+    # each step of a chunk costs a few ufunc calls and each chunk whose
+    # probes end apart one Python step, so chunks of about sqrt(n / 32)
+    # packets cost least (measured at d = 3 to 100 on 2^17-slot segments)
+    L = max(1, min(_CHUNK, math.isqrt(n // 32)))
     m = -(-n // L)
     lo, hi = _success_counts(a, s1, d, L, m)
+    # every slot past s1 counts as a success
+    g = int(np.count_nonzero(s1[: max(prev + 1, 0)])) + max(prev + 1 - len(s1), 0)
 
     low, high = _advance(np.stack((lo[0], hi[0])), lo, hi)
+    # chunk 0 starts from g_{-1}
+    low[0] = min(max(g + L, int(low[0])), int(high[0]))
     ends = low
     # where the probes end alike every start does
     split = np.flatnonzero(low[1:] != high[1:]) + 1
@@ -284,7 +301,8 @@ def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.n
         for c, least, most in zip(split.tolist(), low[split].tolist(), high[split].tolist()):
             ends[c] = min(max(ends[c - 1] + L, least), most)
     # replay from the true starts, leaving k_i in lo
-    start = np.zeros(m, dtype=a.dtype)
+    start = np.empty(m, dtype=a.dtype)
+    start[0] = g
     start[1:] = ends[:-1]
     _advance(start, lo, hi, lo)
     del hi
@@ -303,157 +321,217 @@ def _departures(a: np.ndarray, s1: np.ndarray, d: int) -> tuple[np.ndarray, np.n
     return e, delivered
 
 
-def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx) -> tuple[np.ndarray, ...]:
+def _draw(cfg: SimConfig, bounds: tuple[float, ...], rep: int, idx):
     """The arrival and channel streams of one replication, folded as they are drawn.
 
     The two streams are spawned from SeedSequence([seed, rep]) in that
     order and read _BLOCK slots at a time, which yields the same doubles
-    as one rng.random(slots) call each. Returns the arrival slots followed
-    by the slot count as a sentinel, user 1's success in each slot were it
-    busy, and user 2's success in each slot while user 1 is idle and while
-    it is busy, from _layout's bounds.
+    as one rng.random(slots) call each. Yields, for each block in turn, its
+    arrival slots and a (3, block) array whose rows hold user 1's success
+    in each slot were it busy, and user 2's success in each slot while
+    user 1 is idle and while it is busy, from _layout's bounds.
     """
     lam, slots = cfg.params.arrival_prob, cfg.slots
     p10, user1_end, user2_busy_end, user2_idle_end = bounds
     arrival_rng, channel_rng = map(
         np.random.default_rng, np.random.SeedSequence([cfg.seed, rep]).spawn(2)
     )
-    s1, s2_idle, s2_busy = (np.empty(slots, dtype=bool) for _ in range(3))
     u = np.empty(min(_BLOCK, slots))
-    arrivals = []
     for t0 in range(0, slots, _BLOCK):
-        blk = slice(t0, min(t0 + _BLOCK, slots))
-        v = u[: blk.stop - t0]
+        v = u[: min(_BLOCK, slots - t0)]
         arrival_rng.random(out=v)
-        arrivals.append((np.flatnonzero(v < lam) + t0).astype(idx))
+        arrivals = (np.flatnonzero(v < lam) + t0).astype(idx)
         channel_rng.random(out=v)
-        np.less(v, user1_end, out=s1[blk])
-        np.less(v, user2_idle_end, out=s2_idle[blk])
+        s1, s2_idle, s2_busy = channel = np.empty((3, len(v)), dtype=bool)
+        np.less(v, user1_end, out=s1)
+        np.less(v, user2_idle_end, out=s2_idle)
         # [p10, p10 + p11 + p01) is [0, p10 + p11 + p01) without [0, p10)
-        np.less(v, user2_busy_end, out=s2_busy[blk])
-        s2_busy[blk] ^= v < p10
-    arrivals = np.concatenate([*arrivals, np.array([slots], dtype=idx)])
-    return arrivals, s1, s2_idle, s2_busy
+        np.less(v, user2_busy_end, out=s2_busy)
+        s2_busy ^= v < p10
+        yield arrivals, channel
 
 
-def _slot_tallies(
-    a: np.ndarray, e: np.ndarray, s2_idle: np.ndarray, s2_busy: np.ndarray, cfg: SimConfig
-) -> dict:
+def _accumulate(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """total + counts, padding the shorter with zeros; total is updated where it is long enough."""
+    if len(counts) > len(total):
+        total = np.concatenate((total, np.zeros(len(counts) - len(total), dtype=total.dtype)))
+    total[: len(counts)] += counts
+    return total
+
+
+class _Tally:
     """Per-slot state, occupancy, transitions and age from head runs and update gaps.
 
-    a holds the arrival slots and the sentinel, e the departure slots. In
-    slot t the queue's head is the first packet not departed before t, so
-    packet i heads the run of slots from e_{i-1} + 1 to e_i; the queue is
-    busy if its head arrived before t. Slots are taken _BLOCK at a time.
+    add() takes one segment of slots at a time, in order, and the counts
+    carry from one to the next. In slot t the queue's head is the first
+    packet not departed before t, so packet i heads the run of slots from
+    e_{i-1} + 1 to e_i; the queue is busy if its head arrived before t.
+    Slots are taken _BLOCK at a time. Each measured slot's state is counted
+    in the occupancy, and with transitions each slot after the first
+    measured one also counts the move into it.
 
     Each measured slot's age is t minus user 2's last success before t
     (-1 if none). A gap of g slots between two successes thus holds the
-    ages 1..g, once each, summing to g(g + 1)/2. Each block adds the
-    ages from its first measured slot to its first success as one range,
-    and counts the gaps after each of its successes by length, the last
-    one ending with the block. Every measured slot but the first is the
-    destination of one counted transition, so the occupancy is the
-    transitions' column sums plus the first measured state.
+    ages 1..g, once each, summing to g(g + 1)/2. The gap up to each
+    success in a measured slot is counted by its length, and so is the
+    last one, which ends with the horizon. The one gap that spans the end
+    of the warm-up holds its first ages before it; they are the ages of
+    a gap that ends with the warm-up, and that gap is counted once with
+    weight -1.
+    """
+
+    def __init__(self, cfg: SimConfig, transitions: bool):
+        self.warmup, self.d = cfg.warmup_slots, cfg.params.deadline
+        self.occ = np.zeros(self.d + 1, dtype=np.int64)
+        self.trans = np.zeros((self.d + 1) ** 2, dtype=np.int64) if transitions else None
+        self.prev_state = -1  # the last measured slot's state
+        self.gaps = np.zeros(0, dtype=np.int64)  # gaps[g]: update gaps of g slots
+        self.last = -1  # user 2's last success so far, -1 if none
+        self.cut = 0  # the length of the gap ending with the warm-up
+
+    def add(self, a: np.ndarray, e: np.ndarray, s2_idle: np.ndarray, s2_busy: np.ndarray, t0: int):
+        """Count the slots t0, t0 + 1, ... that s2_idle and s2_busy cover.
+
+        a holds the arrival slots of the packets that head a slot of the
+        segment, followed by one at or past its end as the sentinel, and e
+        their departure slots.
+        """
+        t1 = t0 + len(s2_idle)
+        # packets departed before each block
+        starts = range(t0, t1, _BLOCK)
+        cuts = e.searchsorted(np.array([*starts, t1], dtype=e.dtype)).tolist()
+        offsets = np.arange(min(_BLOCK, t1 - t0), dtype=a.dtype)
+        for b0, lo, hi in zip(starts, cuts, cuts[1:]):
+            b1 = min(b0 + _BLOCK, t1)
+            # packet lo + i heads the block's i-th run of slots; the last run,
+            # of packet hi (or the sentinel), ends with the block
+            ends = np.empty(hi - lo + 2, dtype=e.dtype)
+            ends[0], ends[1:-1], ends[-1] = b0 - 1, e[lo:hi], b1 - 1
+            state = offsets[: b1 - b0] - np.repeat(a[lo : hi + 1] - b0, np.diff(ends))
+            # an idle queue's head (or the sentinel) arrives in slot t or later
+            np.maximum(state, 0, out=state)
+            # user 2 reads s2_busy where the queue is busy and s2_idle elsewhere
+            idle = s2_idle[b0 - t0 : b1 - t0]
+            s2 = idle ^ s2_busy[b0 - t0 : b1 - t0]
+            s2 &= state > 0
+            s2 ^= idle
+            hits = np.flatnonzero(s2)
+            hits += b0
+
+            m = max(self.warmup, b0)
+            if m < b1:
+                self._count_states(state[m - b0 :])
+                k = int(hits.searchsorted(m))
+                before = int(hits[k - 1]) if k else self.last
+                if m == self.warmup:
+                    self.cut = m - 1 - before
+                self.gaps = _accumulate(self.gaps, np.bincount(np.diff(hits[k:], prepend=before)))
+            if len(hits):
+                self.last = int(hits[-1])
+
+    def _count_states(self, state: np.ndarray):
+        counts = np.bincount(state)
+        self.occ[: len(counts)] += counts
+        if self.trans is None:
+            return
+        d = self.d
+        if self.prev_state >= 0:
+            self.trans[self.prev_state * (d + 1) + state[0]] += 1
+        self.prev_state = int(state[-1])
+        codes = state[:-1] * (d + 1)
+        codes += state[1:]
+        # a bincount is as long as the largest code; once that reaches 4
+        # times the pair count, sorting the pairs and counting runs costs
+        # about as much or less (measured at d = 128-1000)
+        limit = 4 * len(codes)
+        if 0 < limit < (d + 1) ** 2 and codes.max() >= limit:
+            codes.sort()
+            run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), len(codes) - 1)
+            self.trans[codes[run_ends]] += np.diff(run_ends, prepend=-1)
+        else:
+            pairs = np.bincount(codes)
+            self.trans[: len(pairs)] += pairs
+
+    def finish(self, slots: int) -> dict:
+        """The counts of a horizon of slots, whose last slot add() has counted."""
+        gaps = _accumulate(self.gaps, np.bincount([slots - 1 - self.last]))
+        gaps[self.cut] -= 1
+        # a gap of g slots holds each age 1..g; one past the oldest age seen
+        hist = np.zeros(len(gaps), dtype=np.int64)
+        hist[1:] = np.cumsum(gaps[::-1])[::-1][1:]
+        g = np.arange(len(gaps), dtype=np.int64)
+        out = {"occ": self.occ, "hist": hist, "aoi_sum": int(gaps @ (g * (g + 1) // 2))}
+        if self.trans is not None:
+            out["trans"] = self.trans.reshape(self.d + 1, self.d + 1)
+        return out
+
+
+def _replicate(
+    cfg: SimConfig, bounds: tuple[float, ...], rep: int, transitions: bool = False
+) -> dict:
+    """One seeded replication; returns raw post-warmup tallies.
+
+    The slots are played _SEGMENT at a time, and the streams are drawn
+    block by block d slots ahead of the segment: a packet that arrives in
+    it departs by its deadline. Each segment solves the departures of its
+    own packets, starting from the last queued packet's, tallies its slots
+    from the packets that head them, and keeps the packets still queued at
+    its end for the next.
     """
     slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
-    # packets departed before each block
-    cuts = e.searchsorted(np.array([*range(0, slots, _BLOCK), slots], dtype=e.dtype)).tolist()
-    offsets = np.arange(min(_BLOCK, slots), dtype=a.dtype)
-
-    trans = np.zeros((d + 1) ** 2, dtype=np.int64)
-    gaps = np.zeros(0, dtype=np.int64)  # gaps[g]: update gaps of g slots
-    ranges = []  # (first age, last age) up to each block's first success
-    last = -1  # user 2's last success before the block, -1 if none
-    first_state = prev_state = -1
-    for t0, lo, hi in zip(range(0, slots, _BLOCK), cuts, cuts[1:]):
-        t1 = min(t0 + _BLOCK, slots)
-        # packet lo + i heads the block's i-th run of slots; the last run,
-        # of packet hi (or the sentinel), ends with the block
-        ends = np.empty(hi - lo + 2, dtype=e.dtype)
-        ends[0], ends[1:-1], ends[-1] = t0 - 1, e[lo:hi], t1 - 1
-        state = offsets[: t1 - t0] - np.repeat(a[lo : hi + 1] - t0, np.diff(ends))
-        # an idle queue's head (or the sentinel) arrives in slot t or later
-        np.maximum(state, 0, out=state)
-        # user 2 reads s2_busy where the queue is busy and s2_idle elsewhere
-        s2 = s2_idle[t0:t1] ^ s2_busy[t0:t1]
-        s2 &= state > 0
-        s2 ^= s2_idle[t0:t1]
-        hits = np.flatnonzero(s2)
-        hits += t0
-
-        m = max(warmup, t0)
-        if m < t1:
-            state = state[m - t0 :]
-            if prev_state >= 0:
-                trans[prev_state * (d + 1) + state[0]] += 1
-            else:
-                first_state = int(state[0])
-            prev_state = int(state[-1])
-            codes = state[:-1] * (d + 1)
-            codes += state[1:]
-            # a bincount is as long as the largest code; once that reaches 4
-            # times the pair count, sorting the pairs and counting runs costs
-            # about as much or less (measured at d = 128-1000)
-            limit = 4 * len(codes)
-            if 0 < limit < (d + 1) ** 2 and codes.max() >= limit:
-                codes.sort()
-                run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), len(codes) - 1)
-                trans[codes[run_ends]] += np.diff(run_ends, prepend=-1)
-            else:
-                pairs = np.bincount(codes)
-                trans[: len(pairs)] += pairs
-
-            k = int(hits.searchsorted(m))
-            before = int(hits[k - 1]) if k else last
-            stops = np.append(hits[k:], t1 - 1)
-            ranges.append((m - before, int(stops[0]) - before))
-            counts = np.bincount(np.diff(stops))
-            if len(counts) > len(gaps):
-                gaps = np.concatenate((gaps, np.zeros(len(counts) - len(gaps), np.int64)))
-            gaps[: len(counts)] += counts
-        if len(hits):
-            last = int(hits[-1])
-
-    trans = trans.reshape(d + 1, d + 1)
-    occ = trans.sum(axis=0)
-    occ[first_state] += 1
-    # one past the oldest age seen
-    top = max([len(gaps)] + [high + 1 for _, high in ranges])
-    hist = np.zeros(top, dtype=np.int64)
-    # a gap of g slots holds each age 1..g
-    hist[1 : len(gaps)] = np.cumsum(gaps[::-1])[::-1][1:]
-    g = np.arange(len(gaps), dtype=np.int64)
-    aoi_sum = int(gaps @ (g * (g + 1) // 2))
-    for low, high in ranges:
-        hist[low : high + 1] += 1
-        aoi_sum += (high * (high + 1) - (low - 1) * low) // 2
-    return {"occ": occ, "trans": trans, "hist": hist, "aoi_sum": aoi_sum}
-
-
-def _replicate(cfg: SimConfig, bounds: tuple[float, ...], rep: int) -> dict:
-    """One seeded replication; returns raw post-warmup tallies."""
-    slots, warmup, d = cfg.slots, cfg.warmup_slots, cfg.params.deadline
     idx = np.int32 if slots + d < np.iinfo(np.int32).max else np.int64
-    a, s1, s2_idle, s2_busy = _draw(cfg, bounds, rep, idx)
-    n = len(a) - 1
-    e, delivered = _departures(a[:n], s1, d)
-    del s1
-    # departures are strictly increasing; a packet departing past the
-    # horizon is still queued at its end
-    # (searched with idx scalars: a Python int would make an int64 copy of e)
-    done = e[: e.searchsorted(idx(slots))]
-    delivered = delivered[: len(done)]
-    late = int(done.searchsorted(idx(warmup)))
-    delivered_m = int(np.count_nonzero(delivered[late:]))
+    blocks = _draw(cfg, bounds, rep, idx)
+    # the channel draws of the slots from the segment's start on, and the
+    # arrival slots of each drawn block past the segments played
+    window = np.empty((3, min(_SEGMENT + d + _BLOCK, slots)), dtype=bool)
+    drawn, arriving = 0, []
+    tally = _Tally(cfg, transitions)
+    queue_a = queue_e = np.zeros(0, dtype=idx)  # the packets still queued
+    arrivals = arrivals_m = done = done_m = delivered = delivered_m = 0
+    for t0 in range(0, slots, _SEGMENT):
+        t1 = min(t0 + _SEGMENT, slots)
+        while t0 + drawn < min(t1 + d, slots):
+            block, channel = next(blocks)
+            window[:, drawn : drawn + channel.shape[1]] = channel
+            drawn += channel.shape[1]
+            arriving.append(block)
+        k = -(-(t1 - t0) // _BLOCK)
+        # the heads of the segment's slots, then its end as the sentinel,
+        # counted from t0 for the departures
+        a = np.concatenate([queue_a, *arriving[:k], np.array([t1], dtype=idx)])
+        del arriving[:k]
+        a -= t0
+        q = len(queue_a)
+        e, ok = _departures(a[q:-1], window[0, :drawn], d, int(queue_e[-1]) - t0 if q else -1)
+        a += t0
+        e += t0
+        # departures are strictly increasing; a packet departing past the
+        # horizon is still queued at its end
+        # (searched with idx scalars: a Python int would make an int64 copy of e)
+        late, gone = (int(e.searchsorted(idx(t))) for t in (warmup, slots))
+        arrivals += len(e)
+        arrivals_m += len(e) - int(a[q:-1].searchsorted(idx(warmup)))
+        done += gone
+        done_m += gone - late
+        delivered += int(np.count_nonzero(ok[:gone]))
+        delivered_m += int(np.count_nonzero(ok[late:gone]))
+        del ok
+        e = np.concatenate((queue_e, e))
+        tally.add(a, e, window[1, : t1 - t0], window[2, : t1 - t0], t0)
+        keep = int(e.searchsorted(idx(t1)))
+        queue_a, queue_e = a[keep:-1].copy(), e[keep:].copy()
+        del a, e
+        drawn -= t1 - t0
+        window[:, :drawn] = window[:, t1 - t0 : t1 - t0 + drawn]
     return {
-        **_slot_tallies(a, e, s2_idle, s2_busy, cfg),
-        "arrivals": n,
-        "delivered": int(np.count_nonzero(delivered)),
-        "dropped": len(done) - int(np.count_nonzero(delivered)),
-        "arrivals_m": n - int(a[:n].searchsorted(idx(warmup))),
+        **tally.finish(slots),
+        "arrivals": arrivals,
+        "delivered": delivered,
+        "dropped": done - delivered,
+        "arrivals_m": arrivals_m,
         "delivered_m": delivered_m,
-        "dropped_m": len(done) - late - delivered_m,
-        "queue_residual": n - len(done),
+        "dropped_m": done_m - delivered_m,
+        "queue_residual": arrivals - done,
     }
 
 
@@ -463,16 +541,28 @@ def _ci(values: list[float], replications: int) -> float:
     return _Z95 * float(np.std(values, ddof=1)) / math.sqrt(replications)
 
 
-def _run(cfg: SimConfig) -> tuple[SimulationReport, float, np.ndarray]:
+def _run(
+    cfg: SimConfig, transitions: bool = False
+) -> tuple[SimulationReport, float, np.ndarray | None]:
     mu1, bounds = _layout(cfg)
-    reps = [_replicate(cfg, bounds, r) for r in range(cfg.replications)]
     measured = cfg.slots - cfg.warmup_slots
     n_rep = cfg.replications
 
+    # each replication keeps the leading age counts its violation entries
+    # read; the histograms are summed as the replications finish
+    head = max(VIOLATION_THRESHOLDS) + 1
+    total = np.zeros(0, dtype=np.int64)
+    trans_total = None
+    reps = []
+    for r in range(n_rep):
+        rep = _replicate(cfg, bounds, r, transitions)
+        total = _accumulate(total, rep["hist"])
+        rep["hist"] = rep["hist"][:head].copy()
+        if transitions:
+            trans = rep.pop("trans")
+            trans_total = trans if trans_total is None else trans_total + trans
+        reps.append(rep)
     occ = np.array([r["occ"] for r in reps])
-    hists = np.zeros((n_rep, max(len(r["hist"]) for r in reps)), dtype=np.int64)
-    for row, r in zip(hists, reps):
-        row[: len(r["hist"])] = r["hist"]
 
     per_rep = {
         "drop_rate": [r["dropped_m"] / measured for r in reps],
@@ -486,7 +576,7 @@ def _run(cfg: SimConfig) -> tuple[SimulationReport, float, np.ndarray]:
     for x in VIOLATION_THRESHOLDS:
         # every measured slot has one age, so those above x are the rest
         per_rep[f"aoi_violation_{x}"] = [
-            (measured - int(c)) / measured for c in hists[:, : x + 1].sum(axis=1)
+            (measured - int(r["hist"][: x + 1].sum())) / measured for r in reps
         ]
 
     ci = {k: _ci(v, n_rep) for k, v in per_rep.items()}
@@ -494,7 +584,6 @@ def _run(cfg: SimConfig) -> tuple[SimulationReport, float, np.ndarray]:
 
     # one row per state, so each mean sums its replications as np.mean(list) does
     occupancy = tuple(np.mean(np.ascontiguousarray(occ.T) / measured, axis=1).tolist())
-    total = hists.sum(axis=0)
     ages = np.flatnonzero(total)
     histogram = dict(zip(ages.tolist(), total[ages].tolist()))
 
@@ -505,8 +594,6 @@ def _run(cfg: SimConfig) -> tuple[SimulationReport, float, np.ndarray]:
         "queue_residual": sum(r["queue_residual"] for r in reps),
         "measured_slots": measured * n_rep,
     }
-
-    trans_total = sum(r["trans"] for r in reps)
 
     report = SimulationReport(
         mode=cfg.mode,
@@ -552,7 +639,7 @@ def coupled_run(cfg: SimConfig) -> CoupledRun:
     """Simulate cfg once for compare_occupancy and compare_transitions."""
     if cfg.mode != "coupled":
         raise ParameterError("occupancy and transition checks are defined for coupled mode")
-    report, mu1, trans = _run(cfg)
+    report, mu1, trans = _run(cfg, transitions=True)
     return CoupledRun(cfg=cfg, report=report, mu1=mu1, transitions=trans)
 
 

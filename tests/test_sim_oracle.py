@@ -39,7 +39,9 @@ def _assert_matches_oracle(cfg: SimConfig) -> None:
         return
     _, bounds = sim._layout(cfg)
     for r in range(cfg.replications):
-        assert _plain(sim._replicate(cfg, bounds, r)) == _plain(slot_oracle.replicate(cfg, r))
+        assert _plain(sim._replicate(cfg, bounds, r, transitions=True)) == _plain(
+            slot_oracle.replicate(cfg, r)
+        )
     got = simulate(cfg)
     assert got == want
 
@@ -85,9 +87,37 @@ def configs(draw):
     cfg=configs(),
     chunk=st.sampled_from([1, 2, 7, 128]),
     block=st.sampled_from([1, 3, 64, 1 << 14]),
+    blocks_per_segment=st.sampled_from([1, 2, 5, 8]),
 )
-def test_matches_slot_oracle(cfg, chunk, block):
-    with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_BLOCK", block):
+def test_matches_slot_oracle(cfg, chunk, block, blocks_per_segment):
+    # at most 100 segments: each costs a few hundred microseconds of Python
+    assume(cfg.slots <= 100 * block * blocks_per_segment)
+    with (
+        mock.patch.object(sim, "_CHUNK", chunk),
+        mock.patch.object(sim, "_BLOCK", block),
+        mock.patch.object(sim, "_SEGMENT", block * blocks_per_segment),
+    ):
+        _assert_matches_oracle(cfg)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "params",
+    [
+        make_params(deadline=90),
+        make_params(arrival_prob=0.9, deadline=90),
+        make_params(q2=0.0, deadline=7),
+        make_params(arrival_prob=1.0, deadline=5),
+        make_params(arrival_prob=1.0, q2=0.0, deadline=40),
+    ],
+    ids=["d-spans-segments", "saturated", "q2-0", "lambda-1", "lambda-1-q2-0"],
+)
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_segment_edges_match_slot_oracle(params, mode, shift):
+    # 32-slot segments of 16-slot blocks; the warm-up ends at the third
+    # segment's edge, one slot before it or one after it
+    cfg = SimConfig(params=params, slots=1_000, seed=3, warmup_slots=96 + shift, mode=mode)
+    with mock.patch.object(sim, "_BLOCK", 16), mock.patch.object(sim, "_SEGMENT", 32):
         _assert_matches_oracle(cfg)
 
 
@@ -127,17 +157,35 @@ def fifo_inputs(draw):
     return a, s1, d
 
 
+def segment_departures(a, s1, d, segment):
+    """_departures played one segment of slots at a time, as _replicate plays it.
+
+    Each segment's packets are solved on its slots and the d after them,
+    starting from the previous packet's departure.
+    """
+    departures, delivered = [], []
+    for t0 in range(0, len(s1), segment):
+        t1 = t0 + segment
+        prev = departures[-1] - t0 if departures else -1
+        new = a[(t0 <= a) & (a < t1)] - t0
+        e, ok = sim._departures(new, s1[t0 : t1 + d], d, prev)
+        departures += (e + t0).tolist()
+        delivered += ok.tolist()
+    return departures, delivered
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     inputs=fifo_inputs(),
     chunk=st.sampled_from([1, 2, 7, 128]),
     block=st.sampled_from([1, 3, 64, 1 << 14]),
+    blocks_per_segment=st.sampled_from([1, 2, 5, 8]),
 )
-def test_departures_match_sequential_fifo(inputs, chunk, block):
+def test_departures_match_sequential_fifo(inputs, chunk, block, blocks_per_segment):
     a, s1, d = inputs
     with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_BLOCK", block):
-        e, delivered = sim._departures(a, s1, d)
-    assert (e.tolist(), delivered.tolist()) == fifo_departures(a, s1, d)
+        got = segment_departures(a, s1, d, block * blocks_per_segment)
+    assert got == fifo_departures(a, s1, d)
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,7 +210,7 @@ def test_chunk_end_is_its_start_plus_length_clamped_to_the_probe_ends(inputs, ch
 
 
 def count_slots(a, e, s2_idle, s2_busy, cfg):
-    """The tallies of _slot_tallies, counted one slot at a time.
+    """The tallies of _Tally, counted one slot at a time.
 
     In slot t the head is the first packet departing at t or later (the
     sentinel a[-1] once all have left); its state is t minus its arrival
@@ -206,9 +254,24 @@ def tally_inputs(rng, slots, lam, d, p_idle, p_busy):
     return a, np.array(e, dtype=np.int32), rng.random(slots) < p_idle, rng.random(slots) < p_busy
 
 
-def assert_tallies_match_slot_count(a, e, s2_idle, s2_busy, cfg, block):
+def segment_tallies(a, e, s2_idle, s2_busy, cfg, segment):
+    """_Tally fed one segment of slots at a time, as _replicate feeds it.
+
+    A segment's slots are headed by the packets that arrive before its end
+    and depart at its start or later; its end is the sentinel arrival.
+    """
+    tally = sim._Tally(cfg, transitions=True)
+    for t0 in range(0, cfg.slots, segment):
+        t1 = min(t0 + segment, cfg.slots)
+        lo, hi = int(np.searchsorted(e, t0)), int(np.searchsorted(a[:-1], t1))
+        heads = np.append(a[lo:hi], np.int32(t1))
+        tally.add(heads, e[lo:hi], s2_idle[t0:t1], s2_busy[t0:t1], t0)
+    return tally.finish(cfg.slots)
+
+
+def assert_tallies_match_slot_count(a, e, s2_idle, s2_busy, cfg, block, blocks_per_segment=1):
     with mock.patch.object(sim, "_BLOCK", block):
-        got = sim._slot_tallies(a, e, s2_idle, s2_busy, cfg)
+        got = segment_tallies(a, e, s2_idle, s2_busy, cfg, block * blocks_per_segment)
     assert _plain(got) == _plain(count_slots(a, e, s2_idle, s2_busy, cfg))
 
 
@@ -221,15 +284,18 @@ def assert_tallies_match_slot_count(a, e, s2_idle, s2_busy, cfg, block):
     p_busy=probs,
     seed=st.integers(0, 2**32),
     block=st.sampled_from([1, 2, 3, 7, 64]),
+    blocks_per_segment=st.sampled_from([1, 2, 5]),
     cut=st.integers(0, 50),
     shift=st.sampled_from([-1, 0, 1]),
 )
-def test_tallies_match_slot_count(slots, d, lam, p_idle, p_busy, seed, block, cut, shift):
+def test_tallies_match_slot_count(
+    slots, d, lam, p_idle, p_busy, seed, block, blocks_per_segment, cut, shift
+):
     # the warm-up ends on a block boundary, one slot before it or one after
     warmup = min(max(cut * block + shift, 0), slots - 1)
     cfg = SimConfig(params=make_params(deadline=d), slots=slots, seed=0, warmup_slots=warmup)
     inputs = tally_inputs(np.random.default_rng(seed), slots, lam, d, p_idle, p_busy)
-    assert_tallies_match_slot_count(*inputs, cfg, block)
+    assert_tallies_match_slot_count(*inputs, cfg, block, blocks_per_segment)
 
 
 @pytest.mark.parametrize("user2", ["every slot", "no slot"])
@@ -239,7 +305,7 @@ def test_tallies_when_user2_always_or_never_succeeds(user2, warmup):
     cfg = SimConfig(params=make_params(deadline=5), slots=1_000, seed=0, warmup_slots=warmup)
     p = 1.0 if user2 == "every slot" else 0.0
     inputs = tally_inputs(np.random.default_rng(8), cfg.slots, 0.6, 5, p, p)
-    assert_tallies_match_slot_count(*inputs, cfg, 64)
+    assert_tallies_match_slot_count(*inputs, cfg, 64, 2)
 
 
 EDGES = [
@@ -294,7 +360,8 @@ def test_channel_draws_follow_the_interval_layout(q1, q2, sp, mode):
         success_probs_override=sp,
     )
     _, bounds = sim._layout(cfg)
-    _, s1, s2_idle, s2_busy = sim._draw(cfg, bounds, 0, np.int32)
+    drawn = sim._draw(cfg, bounds, 0, np.int32)
+    s1, s2_idle, s2_busy = np.concatenate([channel for _, channel in drawn], axis=1)
     p10, p11, p01, p2 = slot_oracle.thresholds(cfg)
     events = [
         (s1 & s2_busy, p11),
@@ -349,16 +416,57 @@ def test_saturated_long_deadline_run_matches_slot_oracle(mode):
     _assert_matches_oracle(cfg)
 
 
+def traced_peak(fn, *args) -> int:
+    """The traced peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_replication_memory_within_oracle_budget():
     # The budget is the traced peak of the slot loop that drew seven
     # byte-per-slot streams, plus the float64 draw of the last one: 15
     # bytes per slot, 7.2 MiB here. It stays at that figure.
     cfg = SimConfig(params=make_params(deadline=20), slots=500_000, seed=3)
     _, bounds = sim._layout(cfg)
-    tracemalloc.start()
-    try:
-        sim._replicate(cfg, bounds, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sim._replicate, cfg, bounds, 0)
     assert peak <= 1.5 * 15 * cfg.slots, peak
+
+
+def test_replication_memory_does_not_grow_with_the_horizon():
+    # q2 > 0 keeps the age histogram, the one tally as long as the longest
+    # update gap, short. The peak is that of the segment with the most
+    # packets, so a longer horizon may add a little.
+    short, long = (
+        SimConfig(params=make_params(deadline=20), slots=slots, seed=3)
+        for slots in (500_000, 4_000_000)
+    )
+    _, bounds = sim._layout(short)
+    sim._replicate(dataclasses.replace(short, slots=1_000, warmup_slots=0), bounds, 0)  # first-call allocations
+    assert traced_peak(sim._replicate, long, bounds, 0) <= 1.02 * traced_peak(
+        sim._replicate, short, bounds, 0
+    )
+
+
+def test_long_deadline_memory_stays_near_the_short_deadline_figure():
+    # a dense (d + 1)^2 transition tally would take 3.2 GB at d = 20000;
+    # the departure windows, the queue tail and the occupancy grow with d
+    # (0.7 MB here), against 2.3 MB at d = 20
+    short, long = (
+        SimConfig(params=make_params(arrival_prob=0.9, deadline=d), slots=300_000, seed=3)
+        for d in (20, 20_000)
+    )
+    simulate(dataclasses.replace(short, slots=1_000, warmup_slots=0))  # first-call allocations
+    assert traced_peak(simulate, long) <= 1.5 * traced_peak(simulate, short)
+
+
+def test_replications_add_no_histogram_memory():
+    # at q2 = 0 every replication's age histogram is as long as its
+    # horizon; they are summed as the replications finish
+    one = SimConfig(params=make_params(q2=0.0), slots=100_000, seed=1)
+    simulate(dataclasses.replace(one, slots=1_000, warmup_slots=0))  # first-call allocations
+    nine = dataclasses.replace(one, replications=9)
+    assert traced_peak(simulate, nine) <= 1.1 * traced_peak(simulate, one)
