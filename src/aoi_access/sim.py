@@ -77,9 +77,7 @@ MODES = ("coupled", "decoupled")
 
 DEFAULT_MIN_VISITS = 10_000
 
-# the most packets per chunk of the time-parallel departure solve, and
 # slots per block of the random draws and of the per-slot tallies
-_CHUNK = 64
 _BLOCK = 1 << 14
 # slots per segment of a replication, a multiple of _BLOCK
 _SEGMENT = 1 << 17
@@ -249,6 +247,17 @@ def _advance(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, record=None) -> np
     return cur
 
 
+def _chunk_length(n: int) -> int:
+    """Packets per chunk of the departure solve of n packets.
+
+    Each step of a chunk costs a few ufunc calls and each chunk whose
+    probes end apart one Python step, so chunks of about sqrt(n / 32)
+    packets cost least (measured at d = 3 to 100 on 2^17-slot segments,
+    where this is at most 64).
+    """
+    return max(1, math.isqrt(n // 32))
+
+
 def _departures(
     a: np.ndarray, s1: np.ndarray, d: int, prev: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +290,7 @@ def _departures(
     n = len(a)
     if not n:
         return a, np.zeros(0, dtype=bool)
-    # each step of a chunk costs a few ufunc calls and each chunk whose
-    # probes end apart one Python step, so chunks of about sqrt(n / 32)
-    # packets cost least (measured at d = 3 to 100 on 2^17-slot segments)
-    L = max(1, min(_CHUNK, math.isqrt(n // 32)))
+    L = _chunk_length(n)
     m = -(-n // L)
     lo, hi = _success_counts(a, s1, d, L, m)
     # every slot past s1 counts as a success
