@@ -30,14 +30,6 @@ class AoiParams:
             )
 
 
-def aoi_pmf(p: AoiParams, i: int) -> float:
-    """Stationary probability the age equals i (i >= 1)."""
-    if not isinstance(i, int) or i < 1:
-        raise ParameterError(f"age must be an integer >= 1, got {i!r}")
-    mu = p.update_success_prob
-    return (1.0 - mu) ** (i - 1) * mu
-
-
 def average_aoi(p: AoiParams) -> float:
     """Mean stationary age, 1/mu2; infinite when updates never succeed."""
     if p.update_success_prob == 0.0:

@@ -287,11 +287,7 @@ def _csv_parse(name: str, text: str):
         return text
     if kind == "b":
         return text == "true"
-    value = json.loads(text)
-    if kind in ("jff", "jii"):
-        cast = float if kind == "jff" else int
-        return {int(k): cast(v) for k, v in value.items()}
-    return value
+    return _json_parse(name, json.loads(text))
 
 
 def write_csv(path: str | Path, table: EncodedRows) -> None:

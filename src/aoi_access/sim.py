@@ -50,13 +50,14 @@ checks read them, counts the one-step transitions.
 A replication is played in segments of _SEGMENT slots, and the streams
 are drawn _BLOCK slots at a time, d slots ahead of the segment: a packet
 that arrives in a segment departs within d slots. Each segment solves
-the departures of its own packets, carrying the count g from the last
-packet before it, and tallies its slots from the packets that head them:
+the departures of its own packets from one cumulative count over its
+drawn slots, carrying the count g from the last packet before it, and
+tallies its slots, _BLOCK at a time, from the packets that head them:
 the ones still queued from earlier segments, its own, and its end as a
-sentinel arrival. No array spans the horizon, so a replication's memory
-is O(_SEGMENT + d). The one exception is the age histogram, which is as
-long as the longest gap between user 2's updates: at q2 = 0 that is the
-horizon.
+sentinel arrival. The segment is the one memory bound: no array spans
+the horizon, so a replication's memory is O(_SEGMENT + d). The one
+exception is the age histogram, which is as long as the longest gap
+between user 2's updates: at q2 = 0 that is the horizon.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, system
-from .channel import SuccessProbs
 from .deadline_queue import QueueParams, build_waiting_time_matrix, queue_metrics
 from .errors import ParameterError
 from .system import VIOLATION_THRESHOLDS, SystemParams
@@ -97,7 +97,9 @@ class SimConfig:
 
     warmup_slots=None means default_warmup(slots), enough for every chain
     in scope; raise it for stress cases near saturation. slots counts the
-    horizon of EACH replication.
+    horizon of EACH replication. The fields besides params are the keys
+    of a scenario's sim block (scenarios.SIM_KEYS); the channel is always
+    channel.success_probs of params' links.
     """
 
     params: SystemParams
@@ -106,7 +108,6 @@ class SimConfig:
     warmup_slots: int | None = None
     replications: int = 1
     mode: str = "coupled"
-    success_probs_override: SuccessProbs | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -168,9 +169,7 @@ def _layout(cfg: SimConfig) -> tuple[float, tuple[float, float, float, float]]:
     the chain solve would fail.
     """
     p = cfg.params
-    sp = cfg.success_probs_override
-    if sp is None:
-        sp = channel.success_probs(p.link1, p.link2, p.rx)
+    sp = channel.success_probs(p.link1, p.link2, p.rx)
     _, mu1 = system.user1_service(p, sp)
     if cfg.mode == "decoupled":
         busy = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline)).busy_prob
@@ -193,43 +192,24 @@ def _success_counts(
     lo[j, c] and hi[j, c] count the successes at or before a_i and at or
     before a_i + d for packet i = c L + j, where every slot past the end
     of s1 counts as a success; the last chunk is padded by repeating its
-    last packet. The counts are read from a cumulative count over the slots
-    of about _BLOCK / 4 packets at a time, which keeps the temporaries
-    small, and are written straight into the lanes.
+    last packet. Both are read from one cumulative count over the slots of
+    s1 and the d + 1 after them: s1 is one segment's window, so the count
+    holds O(_SEGMENT + d) entries.
     """
     slots = len(s1)
-    lo = np.empty((L, m), dtype=a.dtype)
-    hi = np.empty((L, m), dtype=a.dtype)
-    group = max(1, _BLOCK // (4 * L))  # chunks at a time
-    base, t = 0, 0  # the successes before slot t
-    for c0 in range(0, m, group):
-        c1 = min(c0 + group, m)
-        p = a[c0 * L : c1 * L]
-        if len(p) < (c1 - c0) * L:
-            p = np.concatenate((p, np.full((c1 - c0) * L - len(p), p[-1], dtype=a.dtype)))
-        t0 = int(p[0])
-        base += int(np.count_nonzero(s1[t:t0]))
-        t = t0
-        # count[r]: the successes at or before slot t0 + r
-        span = int(p[-1]) + d + 1 - t0
-        count = np.empty(span, dtype=a.dtype)
-        k = min(span, slots - t0)
-        np.cumsum(s1[t0 : t0 + k], dtype=a.dtype, out=count[:k])
-        count[k:] = np.arange(count[k - 1] + 1, count[k - 1] + 1 + span - k, dtype=a.dtype)
-        count += base
-        # intp offsets: take would copy any other index type to intp
-        offset = np.subtract(p, t0, dtype=np.intp)
-        lo[:, c0:c1] = count.take(offset).reshape(c1 - c0, L).T
-        offset += d
-        hi[:, c0:c1] = count.take(offset).reshape(c1 - c0, L).T
-    return lo, hi
-
-
-def _success_slots(s1: np.ndarray, d: int, dtype) -> np.ndarray:
-    """User 1's success slots, then the d + 1 slots past the end of s1."""
-    return np.concatenate(
-        (np.flatnonzero(s1).astype(dtype), np.arange(len(s1), len(s1) + d + 1, dtype=dtype))
-    )
+    # count[t]: the successes at or before slot t
+    count = np.empty(slots + d + 1, dtype=a.dtype)
+    np.cumsum(s1, dtype=a.dtype, out=count[:slots])
+    count[slots:] = count[slots - 1] + np.arange(1, d + 2, dtype=a.dtype)
+    # intp offsets in lane order: take would copy any other index type or order
+    k = (m - 1) * L  # the packets before the last chunk
+    offset = np.empty((L, m), dtype=np.intp)
+    offset.T[:-1] = a[:k].reshape(m - 1, L)
+    offset[:, -1] = a[-1]
+    offset[: len(a) - k, -1] = a[k:]
+    lo = count.take(offset)
+    offset += d
+    return lo, count.take(offset)
 
 
 def _advance(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, record=None) -> np.ndarray:
@@ -270,7 +250,8 @@ def _departures(
     g_i at or before e_i, lo_i at or before a_i and hi_i at or before
     a_i + d, this is g_i = min(k_i + 1, hi_i) with k_i = max(g_{i-1}, lo_i),
     the successes before slot x_i, and g_{-1} those at or before prev: one
-    max, add and min per packet. With S the success slots (_success_slots),
+    max, add and min per packet. With S user 1's success slots, then the
+    d + 1 slots past the end of s1 (which count as successes),
     packet i is delivered iff k_i < hi_i, at e_i = S[k_i]; otherwise
     k_i = hi_i, S[k_i] lies past the deadline and e_i = a_i + d. So
     e_i = min(S[k_i], a_i + d) either way, and the packet is delivered iff
@@ -314,10 +295,12 @@ def _departures(
     del hi
     e = lo.T.reshape(-1)[:n]
     del lo
-    S = _success_slots(s1, d, a.dtype)
-    for k in range(0, n, _BLOCK):  # in place; a whole-array take would copy e to intp
-        part = e[k : k + _BLOCK]
-        part[:] = S.take(part)
+    S = np.concatenate(
+        (np.flatnonzero(s1).astype(a.dtype), np.arange(len(s1), len(s1) + d + 1, dtype=a.dtype))
+    )
+    # k_i <= hi_i < len(S), so clip never clips; it writes straight into
+    # e, where the default mode would buffer a copy of it
+    S.take(e, out=e, mode="clip")
     del S
     # e_i = min(S[k_i], a_i + d), delivered iff S[k_i] <= a_i + d
     e -= a
@@ -446,17 +429,9 @@ class _Tally:
         self.prev_state = int(state[-1])
         codes = state[:-1] * (d + 1)
         codes += state[1:]
-        # a bincount is as long as the largest code; once that reaches 4
-        # times the pair count, sorting the pairs and counting runs costs
-        # about as much or less (measured at d = 128-1000)
-        limit = 4 * len(codes)
-        if 0 < limit < (d + 1) ** 2 and codes.max() >= limit:
-            codes.sort()
-            run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), len(codes) - 1)
-            self.trans[codes[run_ends]] += np.diff(run_ends, prepend=-1)
-        else:
-            pairs = np.bincount(codes)
-            self.trans[: len(pairs)] += pairs
+        # at most (d + 1)^2 counts, as long as the tally itself
+        pairs = np.bincount(codes)
+        self.trans[: len(pairs)] += pairs
 
     def finish(self, slots: int) -> dict:
         """The counts of a horizon of slots, whose last slot add() has counted."""

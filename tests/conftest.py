@@ -1,11 +1,16 @@
 """Shared builders for the test suite."""
 
+import contextlib
 import json
+from unittest import mock
 
 import pytest
 
+from aoi_access import channel
+from aoi_access.aoi import AoiParams
 from aoi_access.channel import LinkParams, db_to_linear, success_probs
 from aoi_access.deadline_queue import QueueParams, build_2d_action_chain, build_waiting_time_matrix
+from aoi_access.errors import ParameterError
 from aoi_access.validate import (
     REFERENCE_DISTANCE_M,
     REFERENCE_NOISE_W,
@@ -35,6 +40,25 @@ def make_params(gamma_db=0.0, q1=0.5, q2=0.5, arrival_prob=0.5, deadline=3):
 def channel_probs(params):
     """The four per-slot success probabilities of a scenario's channel."""
     return success_probs(params.link1, params.link2, params.rx)
+
+
+def fixed_channel(sp):
+    """Patch the channel to give every link the success probabilities sp.
+
+    sim and slot_oracle both read channel.success_probs, so the one patch
+    reaches both. None leaves the channel as it is.
+    """
+    if sp is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(channel, "success_probs", return_value=sp)
+
+
+def aoi_pmf(p: AoiParams, i: int) -> float:
+    """Stationary probability the age equals i (i >= 1): (1 - mu2)^(i - 1) mu2."""
+    if not isinstance(i, int) or i < 1:
+        raise ParameterError(f"age must be an integer >= 1, got {i!r}")
+    mu = p.update_success_prob
+    return (1.0 - mu) ** (i - 1) * mu
 
 
 def action_chain(lam, d, q2, sp, q1):

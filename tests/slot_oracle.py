@@ -47,9 +47,8 @@ def outcomes(q1: float, q2: float, sp) -> dict[tuple[int, int], float]:
 
 def thresholds(cfg: SimConfig) -> tuple[float, float, float, float]:
     """p10, p11, p01 of a busy slot and user 2's success probability in an idle one."""
-    p, sp = cfg.params, cfg.success_probs_override
-    if sp is None:
-        sp = channel.success_probs(p.link1, p.link2, p.rx)
+    p = cfg.params
+    sp = channel.success_probs(p.link1, p.link2, p.rx)
     if cfg.mode == "decoupled":
         _, mu1 = system.user1_service(p, sp)
         busy = queue_metrics(QueueParams(p.arrival_prob, mu1, p.deadline)).busy_prob

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from aoi_access import cli
-from aoi_access.aoi import AoiParams, aoi_pmf, aoi_violation, average_aoi
+from aoi_access.aoi import AoiParams, aoi_violation, average_aoi
 from aoi_access.channel import mpr_strength
 from aoi_access.deadline_queue import (
     LUMP_TOL,
@@ -28,7 +28,7 @@ from aoi_access.markov import stationary
 from aoi_access.sim import SimConfig, occupancy_vs_stationary, simulate, transition_frequency_check
 from aoi_access.system import analyze, apply_axis, sweep, user1_service
 
-from conftest import action_chain, channel_probs, make_params, scenario_doc
+from conftest import action_chain, aoi_pmf, channel_probs, make_params, scenario_doc
 from test_deadline_queue import reference_d3_matrix
 
 DECOUPLED_SLOTS = 1_000_000

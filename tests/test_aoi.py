@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from aoi_access.aoi import AoiParams, aoi_pmf, aoi_violation, average_aoi
+from aoi_access.aoi import AoiParams, aoi_violation, average_aoi
 from aoi_access.errors import ParameterError
 from aoi_access.markov import stationary
 from chain_oracle import build_aoi_matrix_truncated
+from conftest import aoi_pmf
 
 
 def test_pmf_deterministic_success():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aoi_access import sim
-from aoi_access.aoi import AoiParams, aoi_pmf
+from aoi_access.aoi import AoiParams
 from aoi_access.channel import SuccessProbs
 from aoi_access.errors import ParameterError
 from aoi_access.sim import (
@@ -16,12 +16,19 @@ from aoi_access.sim import (
     simulate,
     transition_frequency_check,
 )
+from aoi_access.scenarios import SIM_KEYS
 from aoi_access.system import analyze
 from aoi_access.validate import DEFAULT_GRID, cell_params
 
-from conftest import make_params
+from conftest import aoi_pmf, fixed_channel, make_params
 
 PERFECT = SuccessProbs(1.0, 1.0, 1.0, 1.0)
+
+
+def test_config_fields_are_the_scenario_sim_keys():
+    # every knob of a run can be set from a scenario's sim block, so no
+    # field serves tests alone
+    assert {f.name for f in fields(SimConfig)} - {"params"} == set(SIM_KEYS)
 
 
 def test_reports_are_reproducible():
@@ -82,14 +89,9 @@ def test_no_traffic_reduction():
 
 def test_perfect_channel_never_drops():
     params = make_params(q1=1.0, q2=0.0, arrival_prob=0.5, deadline=3)
-    cfg = SimConfig(
-        params=params,
-        slots=100_000,
-        seed=23,
-        mode="coupled",
-        success_probs_override=PERFECT,
-    )
-    rep = simulate(cfg)
+    cfg = SimConfig(params=params, slots=100_000, seed=23, mode="coupled")
+    with fixed_channel(PERFECT):
+        rep = simulate(cfg)
     assert rep.drop_rate == 0.0
     assert rep.throughput == pytest.approx(0.5, abs=0.005)
 
@@ -199,16 +201,10 @@ def test_transition_frequencies_reference_scenario():
 
 def test_transition_perfect_service_never_ages():
     params = make_params(q1=1.0, q2=0.5, arrival_prob=0.5, deadline=3)
-    check = transition_frequency_check(
-        SimConfig(
-            params=params,
-            slots=100_000,
-            seed=53,
-            mode="coupled",
-            success_probs_override=PERFECT,
-        ),
-        min_visits=1_000,
-    )
+    with fixed_channel(PERFECT):
+        check = transition_frequency_check(
+            SimConfig(params=params, slots=100_000, seed=53, mode="coupled"), min_visits=1_000
+        )
     assert check.passed
     # with certain service the head never reaches age 2
     assert check.empirical[1, 2] == 0.0

@@ -18,7 +18,7 @@ from aoi_access.channel import SuccessProbs
 from aoi_access.errors import NotIrreducibleError
 from aoi_access.sim import MODES, SimConfig, simulate
 
-from conftest import make_params
+from conftest import fixed_channel, make_params
 
 
 def _plain(rep: dict) -> dict:
@@ -79,7 +79,6 @@ def configs(draw):
         warmup_slots=draw(st.integers(0, slots - 1)),
         replications=draw(st.sampled_from([1, 1, 2, 3, 9])),
         mode=draw(st.sampled_from(MODES)),
-        success_probs_override=draw(st.one_of(st.none(), success_probs())),
     )
 
 
@@ -91,14 +90,16 @@ def chunk_length(chunk):
 @settings(max_examples=150, deadline=None)
 @given(
     cfg=configs(),
+    sp=st.one_of(st.none(), success_probs()),
     chunk=st.sampled_from([1, 2, 7, 128]),
     block=st.sampled_from([1, 3, 64, 1 << 14]),
     blocks_per_segment=st.sampled_from([1, 2, 5, 8]),
 )
-def test_matches_slot_oracle(cfg, chunk, block, blocks_per_segment):
+def test_matches_slot_oracle(cfg, sp, chunk, block, blocks_per_segment):
     # at most 100 segments: each costs a few hundred microseconds of Python
     segment = block * max(blocks_per_segment, -(-cfg.slots // (100 * block)))
     with (
+        fixed_channel(sp),
         mock.patch.object(sim, "_chunk_length", chunk_length(chunk)),
         mock.patch.object(sim, "_BLOCK", block),
         mock.patch.object(sim, "_SEGMENT", segment),
@@ -191,16 +192,13 @@ def segment_departures(a, s1, d, segment):
 @given(
     inputs=fifo_inputs(),
     chunk=st.sampled_from([1, 2, 7, 128]),
-    block=st.sampled_from([1, 3, 64, 1 << 14]),
-    blocks_per_segment=st.sampled_from([1, 2, 5, 8]),
+    # 2^14 slots hold any input in one segment
+    segment=st.sampled_from([1, 2, 3, 5, 6, 8, 15, 24, 64, 128, 320, 512, 1 << 14]),
 )
-def test_departures_match_sequential_fifo(inputs, chunk, block, blocks_per_segment):
+def test_departures_match_sequential_fifo(inputs, chunk, segment):
     a, s1, d = inputs
-    with (
-        mock.patch.object(sim, "_chunk_length", chunk_length(chunk)),
-        mock.patch.object(sim, "_BLOCK", block),
-    ):
-        got = segment_departures(a, s1, d, block * blocks_per_segment)
+    with mock.patch.object(sim, "_chunk_length", chunk_length(chunk)):
+        got = segment_departures(a, s1, d, segment)
     assert got == fifo_departures(a, s1, d)
 
 
@@ -339,18 +337,19 @@ EDGES = [
     dict(params=make_params(arrival_prob=1.0, deadline=4)),
     dict(params=make_params(q1=0.0)),
     dict(params=make_params(q1=1.0, q2=0.0, deadline=2)),
-    dict(success_probs_override=SuccessProbs(0.0, 0.0, 0.6, 0.3)),
-    dict(success_probs_override=SuccessProbs(0.7, 0.2, 0.0, 0.0)),
-    dict(success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
-    dict(params=make_params(q2=1.0), success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
+    dict(sp=SuccessProbs(0.0, 0.0, 0.6, 0.3)),
+    dict(sp=SuccessProbs(0.7, 0.2, 0.0, 0.0)),
+    dict(sp=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
+    dict(params=make_params(q2=1.0), sp=SuccessProbs(1.0, 1.0, 1.0, 1.0)),
 ]
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("edge", EDGES)
 def test_edges_match_slot_oracle(edge, mode):
-    kw = dict(params=make_params(), slots=3_000, seed=5, replications=2, mode=mode)
-    _assert_matches_oracle(SimConfig(**{**kw, **edge}))
+    kw = {**dict(params=make_params(), slots=3_000, seed=5, replications=2, mode=mode), **edge}
+    with fixed_channel(kw.pop("sp", None)):
+        _assert_matches_oracle(SimConfig(**kw))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -376,17 +375,12 @@ def test_long_horizon_matches_slot_oracle(params, mode):
     ],
 )
 def test_channel_draws_follow_the_interval_layout(q1, q2, sp, mode):
-    cfg = SimConfig(
-        params=make_params(q1=q1, q2=q2),
-        slots=1_000_000,
-        seed=13,
-        mode=mode,
-        success_probs_override=sp,
-    )
-    _, bounds = sim._layout(cfg)
+    cfg = SimConfig(params=make_params(q1=q1, q2=q2), slots=1_000_000, seed=13, mode=mode)
+    with fixed_channel(sp):
+        _, bounds = sim._layout(cfg)
+        p10, p11, p01, p2 = slot_oracle.thresholds(cfg)
     drawn = sim._draw(cfg, bounds, 0, np.int32)
     s1, s2_idle, s2_busy = np.concatenate([channel for _, channel in drawn], axis=1)
-    p10, p11, p01, p2 = slot_oracle.thresholds(cfg)
     events = [
         (s1 & s2_busy, p11),
         (s1 & ~s2_busy, p10),
@@ -410,24 +404,18 @@ def test_coupled_run_needs_no_chain_solve():
     # lam = mu = 1 makes every nonzero head-of-line age absorbing, so the
     # chain has no unique stationary vector; only decoupled draws need it
     cfg = SimConfig(
-        params=make_params(q1=1.0, q2=0.0, arrival_prob=1.0, deadline=3),
-        slots=3_000,
-        seed=5,
-        success_probs_override=SuccessProbs(1.0, 1.0, 1.0, 1.0),
+        params=make_params(q1=1.0, q2=0.0, arrival_prob=1.0, deadline=3), slots=3_000, seed=5
     )
-    assert simulate(cfg) == slot_oracle.simulate(cfg)
-    with pytest.raises(NotIrreducibleError):
-        simulate(dataclasses.replace(cfg, mode="decoupled"))
+    with fixed_channel(SuccessProbs(1.0, 1.0, 1.0, 1.0)):
+        assert simulate(cfg) == slot_oracle.simulate(cfg)
+        with pytest.raises(NotIrreducibleError):
+            simulate(dataclasses.replace(cfg, mode="decoupled"))
 
 
 def test_long_deadline_coupled_run_matches_slot_oracle():
-    cfg = SimConfig(
-        params=make_params(arrival_prob=0.2, deadline=1000),
-        slots=10_000,
-        seed=1,
-        success_probs_override=SuccessProbs(0.5, 0.5, 0.5, 0.5),
-    )
-    assert simulate(cfg) == slot_oracle.simulate(cfg)
+    cfg = SimConfig(params=make_params(arrival_prob=0.2, deadline=1000), slots=10_000, seed=1)
+    with fixed_channel(SuccessProbs(0.5, 0.5, 0.5, 0.5)):
+        assert simulate(cfg) == slot_oracle.simulate(cfg)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -469,7 +457,7 @@ def test_replication_memory_does_not_grow_with_the_horizon():
     # lets the busiest segment of the long run lie five of them above the
     # mean and that of the short run five below (seeds 0 to 7 measured at
     # most 0.36%). A horizon-long array of one byte per slot would add
-    # 4 MB to the short run's 1.9 MB.
+    # 4 MB to the short run's 2.6 MB.
     lam = 0.5
     short, long = (
         SimConfig(params=make_params(arrival_prob=lam, deadline=20), slots=slots, seed=3)
@@ -486,7 +474,7 @@ def test_replication_memory_does_not_grow_with_the_horizon():
 def test_long_deadline_memory_stays_near_the_short_deadline_figure():
     # a dense (d + 1)^2 transition tally would take 3.2 GB at d = 20000;
     # the departure windows, the queue tail and the occupancy grow with d
-    # (0.7 MB here), against 2.3 MB at d = 20
+    # (0.6 MB here), against 3.6 MB at d = 20
     short, long = (
         SimConfig(params=make_params(arrival_prob=0.9, deadline=d), slots=300_000, seed=3)
         for d in (20, 20_000)
