@@ -4,7 +4,8 @@ Output paths are bases: `--out results` writes results.csv and
 results.json (a trailing .csv/.json on the flag is stripped). The
 default output directory is $AOI_ACCESS_OUT_DIR, falling back to the
 working directory. Exit codes: 0 success, 1 validation or check
-failure or a chain that cannot be solved, 2 usage error.
+failure, a chain that cannot be solved or an output path that cannot be
+written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  {problem}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ParameterError, NotIrreducibleError, ConvergenceError) as exc:
+    except (ParameterError, NotIrreducibleError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

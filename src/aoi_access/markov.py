@@ -47,7 +47,7 @@ def check_stack(entries) -> np.ndarray:
             raise NotStochasticError("transition matrix entries must lie in [0, 1]")
         worst = int(np.argmax(row_err[i]))
         raise NotStochasticError(
-            f"row {worst} sums to {m[i, worst].sum()!r}, off by more than {ROW_SUM_TOL}"
+            f"row {worst} sums to {float(m[i, worst].sum())!r}, off by more than {ROW_SUM_TOL}"
         )
     return m
 
@@ -181,7 +181,9 @@ def _solve(p: np.ndarray) -> np.ndarray:
     if len(bad):
         i = int(bad[0])
         if lowest[i] < 0.0:
-            raise ConvergenceError(f"direct solve produced a negative probability: {lowest[i]!r}")
+            raise ConvergenceError(
+                f"direct solve produced a negative probability: {float(lowest[i])!r}"
+            )
         if residual[i] > RESIDUAL_TOL:
             raise ConvergenceError(
                 f"direct solve: stationarity residual {residual[i]:g} exceeds {RESIDUAL_TOL:g}"

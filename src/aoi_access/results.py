@@ -2,15 +2,18 @@
 
 Every row carries the full column set in a fixed order so files from
 different runs line up; simulation columns are empty when a run was
-analytical only. encode_rows() encodes a list of rows once, one column
-at a time, and write_csv() and write_json() both write that one
-encoding. A float is written as its shortest round-trip repr, the same
-text in both files. An unbounded average age is written as "inf" in CSV
-and as the tagged object {"unbounded": true} in JSON; NaN is written as
-"nan" in CSV and NaN in JSON. Vector-valued fields (stationary vector, occupancy, histogram,
-violation curve) are embedded as compact JSON inside their CSV cell.
-Writes are atomic: a temp file in the target directory is renamed into
-place, so a failed run never leaves a partial file.
+analytical only. COLUMNS declares each column once, with its type and
+the report attribute it is read from, so adding a column is one COLUMNS
+entry: the row builders, the encoder and the readers all follow it.
+encode_rows() encodes a list of rows once, one column at a time, and
+write_csv() and write_json() both write that one encoding. A float is
+written as its shortest round-trip repr, the same text in both files.
+An unbounded average age is written as "inf" in CSV and as the tagged
+object {"unbounded": true} in JSON; NaN is written as "nan" in CSV and
+NaN in JSON. Vector-valued fields (stationary vector, occupancy,
+histogram, violation curve) are embedded as compact JSON inside their
+CSV cell. Writes are atomic: a temp file in the target directory is
+renamed into place, so a failed run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -28,133 +32,109 @@ from .system import AnalyticalReport
 
 SCHEMA_VERSION = 1
 
-# column name -> type tag: f float (inf-able), i int, s str, b bool,
-# jf json list of floats, jff json dict int->float, jii json dict int->int,
-# jsi json dict str->int, jsf json dict str->float
-COLUMNS: tuple[tuple[str, str], ...] = (
-    ("schema_version", "i"),
-    ("sweep_axis", "s"),
-    ("sweep_value", "f"),
-    ("q1", "f"),
-    ("q2", "f"),
-    ("arrival_prob", "f"),
-    ("deadline", "i"),
-    ("tx_power_w_1", "f"),
-    ("distance_m_1", "f"),
-    ("path_loss_exp_1", "f"),
-    ("fading_scale_1", "f"),
-    ("sinr_threshold_1", "f"),
-    ("tx_power_w_2", "f"),
-    ("distance_m_2", "f"),
-    ("path_loss_exp_2", "f"),
-    ("fading_scale_2", "f"),
-    ("sinr_threshold_2", "f"),
-    ("noise_w", "f"),
-    ("p_1_solo", "f"),
-    ("p_1_joint", "f"),
-    ("p_2_solo", "f"),
-    ("p_2_joint", "f"),
-    ("delta", "f"),
-    ("mpr_strong", "b"),
-    ("p1", "f"),
-    ("p2", "f"),
-    ("mu1", "f"),
-    ("mu2", "f"),
-    ("ana_drop_rate", "f"),
-    ("ana_per_packet_drop_prob", "f"),
-    ("ana_throughput", "f"),
-    ("ana_busy_prob", "f"),
-    ("ana_stationary", "jf"),
-    ("ana_aoi_average", "f"),
-    ("ana_aoi_violation", "jff"),
-    ("sim_mode", "s"),
-    ("sim_seed", "i"),
-    ("sim_slots", "i"),
-    ("sim_warmup_slots", "i"),
-    ("sim_replications", "i"),
-    ("sim_drop_rate", "f"),
-    ("sim_throughput", "f"),
-    ("sim_busy_prob", "f"),
-    ("sim_per_packet_drop_prob", "f"),
-    ("sim_aoi_average", "f"),
-    ("sim_aoi_violation", "jff"),
-    ("sim_occupancy", "jf"),
-    ("sim_aoi_histogram", "jii"),
-    ("sim_ci_halfwidth", "jsf"),
-    ("sim_counts", "jsi"),
+# (column name, type tag, source). Type tags: f float (inf-able), i int,
+# s str, b bool, jf json list of floats, jff json dict int->float, jii
+# json dict int->int, jsi json dict str->int, jsf json dict str->float.
+# The source is an attribute path into the AnalyticalReport, or into the
+# SimulationReport for a sim_ column; a column without one is filled
+# from analytical_row's own arguments, in order.
+COLUMNS: tuple[tuple[str, str, str | None], ...] = (
+    ("schema_version", "i", None),
+    ("sweep_axis", "s", None),
+    ("sweep_value", "f", None),
+    ("q1", "f", "params.q1"),
+    ("q2", "f", "params.q2"),
+    ("arrival_prob", "f", "params.arrival_prob"),
+    ("deadline", "i", "params.deadline"),
+    ("tx_power_w_1", "f", "params.link1.tx_power"),
+    ("distance_m_1", "f", "params.link1.distance"),
+    ("path_loss_exp_1", "f", "params.link1.path_loss_exp"),
+    ("fading_scale_1", "f", "params.link1.fading_scale"),
+    ("sinr_threshold_1", "f", "params.link1.sinr_threshold"),
+    ("tx_power_w_2", "f", "params.link2.tx_power"),
+    ("distance_m_2", "f", "params.link2.distance"),
+    ("path_loss_exp_2", "f", "params.link2.path_loss_exp"),
+    ("fading_scale_2", "f", "params.link2.fading_scale"),
+    ("sinr_threshold_2", "f", "params.link2.sinr_threshold"),
+    ("noise_w", "f", "params.rx.noise_power"),
+    ("p_1_solo", "f", "sp.p_1_solo"),
+    ("p_1_joint", "f", "sp.p_1_joint"),
+    ("p_2_solo", "f", "sp.p_2_solo"),
+    ("p_2_joint", "f", "sp.p_2_joint"),
+    ("delta", "f", "delta"),
+    ("mpr_strong", "b", "mpr_strong"),
+    ("p1", "f", "p1"),
+    ("p2", "f", "p2"),
+    ("mu1", "f", "mu1"),
+    ("mu2", "f", "mu2"),
+    ("ana_drop_rate", "f", "queue.drop_rate"),
+    ("ana_per_packet_drop_prob", "f", "queue.per_packet_drop_prob"),
+    ("ana_throughput", "f", "queue.throughput"),
+    ("ana_busy_prob", "f", "queue.busy_prob"),
+    ("ana_stationary", "jf", "queue.stationary.probs"),
+    ("ana_aoi_average", "f", "aoi_average"),
+    ("ana_aoi_violation", "jff", "aoi_violation"),
+    ("sim_mode", "s", "mode"),
+    ("sim_seed", "i", "seed"),
+    ("sim_slots", "i", "slots"),
+    ("sim_warmup_slots", "i", "warmup_slots"),
+    ("sim_replications", "i", "replications"),
+    ("sim_drop_rate", "f", "drop_rate"),
+    ("sim_throughput", "f", "throughput"),
+    ("sim_busy_prob", "f", "busy_prob"),
+    ("sim_per_packet_drop_prob", "f", "per_packet_drop_prob"),
+    ("sim_aoi_average", "f", "aoi_average"),
+    ("sim_aoi_violation", "jff", "aoi_violation"),
+    ("sim_occupancy", "jf", "waiting_time_occupancy"),
+    ("sim_aoi_histogram", "jii", "aoi_histogram"),
+    ("sim_ci_halfwidth", "jsf", "ci_halfwidth"),
+    ("sim_counts", "jsi", "counts"),
 )
 
-COLUMN_NAMES = tuple(name for name, _ in COLUMNS)
-_TYPES = dict(COLUMNS)
+COLUMN_NAMES = tuple(name for name, _, _ in COLUMNS)
+_TYPES = {name: kind for name, kind, _ in COLUMNS}
+_EMPTY_ROW = dict.fromkeys(COLUMN_NAMES)
+_ARGUMENT_COLUMNS = tuple(name for name, _, source in COLUMNS if source is None)
+
+
+def _reader(sim: bool):
+    """The names of the columns that one kind of report fills, one
+    attrgetter over their sources, and a copy for each container column,
+    so that no row shares a container with its report."""
+    columns = [c for c in COLUMNS if c[2] is not None and c[0].startswith("sim_") == sim]
+    copies = tuple(
+        (name, (lambda v: [float(x) for x in v]) if kind == "jf" else dict)
+        for name, kind, _ in columns
+        if kind.startswith("j")
+    )
+    return tuple(c[0] for c in columns), operator.attrgetter(*(c[2] for c in columns)), copies
+
+
+def _fill(row: dict, reader, report) -> dict:
+    names, get, copies = reader
+    row.update(zip(names, get(report)))
+    for name, copy in copies:
+        row[name] = copy(row[name])
+    return row
+
+
+_ANALYTICAL = _reader(sim=False)
+_SIMULATION = _reader(sim=True)
 
 
 def analytical_row(
     report: AnalyticalReport, sweep_axis: str | None = None, sweep_value: float | None = None
 ) -> dict:
     """Flatten an analytical report into a full row (sim columns None)."""
-    p = report.params
-    row = {name: None for name in COLUMN_NAMES}
-    row.update(
-        schema_version=SCHEMA_VERSION,
-        sweep_axis=sweep_axis,
-        sweep_value=None if sweep_value is None else float(sweep_value),
-        q1=p.q1,
-        q2=p.q2,
-        arrival_prob=p.arrival_prob,
-        deadline=p.deadline,
-        tx_power_w_1=p.link1.tx_power,
-        distance_m_1=p.link1.distance,
-        path_loss_exp_1=p.link1.path_loss_exp,
-        fading_scale_1=p.link1.fading_scale,
-        sinr_threshold_1=p.link1.sinr_threshold,
-        tx_power_w_2=p.link2.tx_power,
-        distance_m_2=p.link2.distance,
-        path_loss_exp_2=p.link2.path_loss_exp,
-        fading_scale_2=p.link2.fading_scale,
-        sinr_threshold_2=p.link2.sinr_threshold,
-        noise_w=p.rx.noise_power,
-        p_1_solo=report.sp.p_1_solo,
-        p_1_joint=report.sp.p_1_joint,
-        p_2_solo=report.sp.p_2_solo,
-        p_2_joint=report.sp.p_2_joint,
-        delta=report.delta,
-        mpr_strong=report.mpr_strong,
-        p1=report.p1,
-        p2=report.p2,
-        mu1=report.mu1,
-        mu2=report.mu2,
-        ana_drop_rate=report.queue.drop_rate,
-        ana_per_packet_drop_prob=report.queue.per_packet_drop_prob,
-        ana_throughput=report.queue.throughput,
-        ana_busy_prob=report.queue.busy_prob,
-        ana_stationary=[float(v) for v in report.queue.stationary.probs],
-        ana_aoi_average=report.aoi_average,
-        ana_aoi_violation=dict(report.aoi_violation),
-    )
+    row = _fill(_EMPTY_ROW.copy(), _ANALYTICAL, report)
+    sweep_value = None if sweep_value is None else float(sweep_value)
+    row.update(zip(_ARGUMENT_COLUMNS, (SCHEMA_VERSION, sweep_axis, sweep_value)))
     return row
 
 
 def attach_simulation(row: dict, report: SimulationReport) -> dict:
     """Fill the sim_* columns of a row from a simulation report."""
-    row = dict(row)
-    row.update(
-        sim_mode=report.mode,
-        sim_seed=report.seed,
-        sim_slots=report.slots,
-        sim_warmup_slots=report.warmup_slots,
-        sim_replications=report.replications,
-        sim_drop_rate=report.drop_rate,
-        sim_throughput=report.throughput,
-        sim_busy_prob=report.busy_prob,
-        sim_per_packet_drop_prob=report.per_packet_drop_prob,
-        sim_aoi_average=report.aoi_average,
-        sim_aoi_violation=dict(report.aoi_violation),
-        sim_occupancy=list(report.waiting_time_occupancy),
-        sim_aoi_histogram=dict(report.aoi_histogram),
-        sim_ci_halfwidth=dict(report.ci_halfwidth),
-        sim_counts=dict(report.counts),
-    )
-    return row
+    return _fill(dict(row), _SIMULATION, report)
 
 
 def _atomic_write(path: Path, write_fn) -> None:
@@ -259,7 +239,7 @@ def encode_rows(rows: list[dict]) -> EncodedRows:
     """
     memo: dict = {}
     csv_columns, json_columns = [], []
-    for name, kind in COLUMNS:
+    for name, kind, _ in COLUMNS:
         values = [row[name] for row in rows]
         if kind == "f":
             cells = _float_column(values, memo)

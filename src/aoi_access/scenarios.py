@@ -235,6 +235,8 @@ def load_scenario(path: str | Path) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

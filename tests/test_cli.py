@@ -113,6 +113,27 @@ def test_parse_error_carries_line_info(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_scenario_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"note": "café"}'.encode("latin-1"))
+    assert cli.main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"scenario error:\n  {path}: not UTF-8 text at byte 13\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_unwritable_output_path_is_an_error_line(
+    monkeypatch, write_scenario, tmp_path, capsys, command
+):
+    verdict = {"checks": [{"name": "x", "passed": True}]}
+    monkeypatch.setattr(cli, "run_validation", lambda **_: (True, verdict))
+    args = ["--scenario", str(write_scenario(scenario_doc()))] if command == "analyze" else []
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([command, *args, "--out", str(blocker / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+
+
 def test_unknown_keys_rejected(write_scenario, tmp_path, capsys):
     doc = scenario_doc()
     doc["access"]["retry_limit"] = 4

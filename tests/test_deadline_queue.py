@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chain_oracle
@@ -102,13 +102,22 @@ def test_stacked_build_equals_per_point_build(points, d):
 
 @settings(max_examples=100, deadline=None)
 @given(points=st.lists(st.tuples(probs, probs), min_size=1, max_size=8), d=st.integers(1, 12))
+# the dense LU solve leaves negative mass on this irreducible chain
+@example(points=[(1 - 2**-53, 1 - 2**-53)], d=3)
 def test_stacked_queue_metrics_equal_per_point_metrics(points, d):
     lams, mus = zip(*points)
-    try:
-        want = [queue_metrics(QueueParams(lam, mu, d)) for lam, mu in points]
-    except NotIrreducibleError as exc:
-        with pytest.raises(NotIrreducibleError, match=str(exc)):
+    want = []
+    for lam, mu in points:
+        try:
+            want.append(queue_metrics(QueueParams(lam, mu, d)))
+        except (NotIrreducibleError, ConvergenceError) as exc:
+            want.append(exc)
+    failed = {(type(w), str(w)) for w in want if isinstance(w, Exception)}
+    if failed:
+        # the stack raises what one of its failing points raises alone
+        with pytest.raises((NotIrreducibleError, ConvergenceError)) as raised:
             queue_metrics_stack(list(lams), list(mus), d)
+        assert (type(raised.value), str(raised.value)) in failed
         return
     for got, one in zip(queue_metrics_stack(list(lams), list(mus), d), want):
         assert np.array_equal(got.stationary.probs, one.stationary.probs)

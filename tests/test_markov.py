@@ -79,6 +79,18 @@ def test_rejects_bad_row_sums():
         StochasticMatrix([[0.5, 0.4], [0.5, 0.5]])
 
 
+def test_solver_messages_print_plain_floats():
+    # numpy 2 reprs a scalar as np.float64(...); the CLI prints these messages
+    with pytest.raises(NotStochasticError) as bad_sum:
+        StochasticMatrix([[0.5, 0.4], [0.5, 0.5]])
+    assert str(bad_sum.value) == "row 0 sums to 0.9, off by more than 1e-12"
+    lam = mu = 1 - 2**-53
+    with pytest.raises(ConvergenceError, match="negative probability") as negative:
+        stationary(build_waiting_time_matrix(QueueParams(lam, mu, 3)))
+    assert "np.float64" not in str(negative.value)
+    assert float(str(negative.value).rsplit(": ", 1)[1]) < 0.0
+
+
 def test_rejects_entries_outside_unit_interval():
     with pytest.raises(NotStochasticError):
         StochasticMatrix([[1.5, -0.5], [0.5, 0.5]])

@@ -1,14 +1,16 @@
-"""The column-wise encoder against the cell-by-cell writers of results_oracle."""
+"""The row builders and the column-wise encoder against the hand-written ones of results_oracle."""
 
 import csv
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_access import results
 from aoi_access.scenarios import load_scenario
+from aoi_access.sim import SimConfig, simulate
 from aoi_access.system import analyze
 
 import results_oracle
@@ -34,7 +36,7 @@ VALUES = {
 }
 rows_strategy = st.lists(
     st.fixed_dictionaries(
-        {name: st.one_of(st.none(), VALUES[kind]) for name, kind in results.COLUMNS}
+        {name: st.one_of(st.none(), VALUES[kind]) for name, kind, _ in results.COLUMNS}
     ),
     max_size=4,
 )
@@ -82,6 +84,32 @@ def test_large_histogram_row_matches_oracle(write_scenario, tmp_path):
         sim_ci_halfwidth={"drop_rate": 0.01},
     )
     assert_files_match_oracle([row], tmp_path)
+
+
+@pytest.mark.parametrize("q2", [0.5, 0.0])
+def test_rows_match_the_hand_written_builders(write_scenario, q2):
+    doc = scenario_doc(q2=q2)
+    # unequal links, so that no column can read the other link's field
+    doc["link2"].update(tx_power_w=0.3, distance_m=41.0, path_loss_exp=3.5, fading_scale=2.0)
+    doc["link2"]["sinr_threshold_db"] = -2.0
+    params = load_scenario(write_scenario(doc)).params
+    report = analyze(params)
+    sim = simulate(SimConfig(params=params, slots=2_000, seed=1, replications=2))
+    row = results.attach_simulation(results.analytical_row(report, "q2", 1), sim)
+    want = results_oracle.attach_simulation(results_oracle.analytical_row(report, "q2", 1), sim)
+    assert tuple(row) == results.COLUMN_NAMES
+    assert row == want
+    assert [name for name, value in row.items() if value is None] == []
+    # containers are copies: a list of Python floats for jf, a dict otherwise
+    containers = {
+        "ana_stationary": report.queue.stationary.probs,
+        "ana_aoi_violation": report.aoi_violation,
+        "sim_occupancy": sim.waiting_time_occupancy,
+        "sim_aoi_histogram": sim.aoi_histogram,
+    }
+    for name, source in containers.items():
+        assert row[name] is not source
+    assert {type(v) for v in row["ana_stationary"] + row["sim_occupancy"]} == {float}
 
 
 def test_read_csv_never_lowers_the_callers_field_limit(tmp_path):
